@@ -49,9 +49,10 @@ struct FrontendConfig {
   /// cadence); idle loops wait 20x longer.
   std::chrono::milliseconds poll_interval{1};
   /// Slowloris defense: a connection holding a *partial* frame (header
-  /// or payload bytes buffered, frame incomplete) longer than this is
-  /// reaped. A peer trickling one byte per poll tick cannot pin a
-  /// connection slot indefinitely. 0 disables.
+  /// or payload bytes buffered, frame incomplete) longer than this
+  /// without completing a frame is reaped. A peer trickling one byte per
+  /// poll tick cannot pin a connection slot indefinitely, while a busy
+  /// pipelined stream whose reads end mid-frame is not. 0 disables.
   std::chrono::milliseconds read_deadline{2000};
   /// Reap connections with no traffic and nothing in flight for this
   /// long. 0 (default) disables — benches hold idle connections open.

@@ -12,9 +12,11 @@
 //   * hamming         — popcount(a XOR b)
 //   * hamming_masked  — Hamming over a word range with first/last-word
 //                       masks (the chunked-detector primitive)
-//   * hamming_matrix  — blocked queries x planes distance matrix: a batch
-//                       of queries is scored in one pass over the stored
-//                       class planes instead of Q*K independent scans
+//   * hamming_matrix_arena[_masked]
+//                     — blocked queries x planes distance matrix over a
+//                       model's mem::PlaneArena: a batch of queries is
+//                       scored in one tiled pass over the stored class
+//                       planes instead of Q*K independent scans
 //
 // Variants: portable scalar (the reference all others are tested against),
 // AVX2 (Harley–Seal carry-save popcount), AVX-512 (VPOPCNTDQ). Dispatch
@@ -76,45 +78,26 @@ struct Ops {
                                 std::size_t n, std::uint64_t first_mask,
                                 std::uint64_t last_mask);
 
-  /// Blocked distance matrix: out[q * num_planes + p] =
-  /// hamming(queries[q], planes[p], words). Queries are tiled so each
-  /// stored plane is streamed once per query block rather than once per
-  /// query — the batched associative-search kernel.
-  void (*hamming_matrix)(const std::uint64_t* const* queries,
-                         std::size_t num_queries,
-                         const std::uint64_t* const* planes,
-                         std::size_t num_planes, std::size_t words,
-                         std::uint32_t* out);
-
-  /// hamming_matrix with an arbitrary per-word mask applied to both
-  /// operands: out[q * num_planes + p] = popcount((queries[q] XOR
-  /// planes[p]) AND mask) over `words` words. This is the quarantine
-  /// primitive of the serving runtime's graceful-degradation ladder:
-  /// excluded dimension ranges (e.g. chunks a health sentinel flagged bad)
-  /// are zeroed in `mask`, so the associative search simply never reads
-  /// them — TCAM-style segment exclusion on the batched kernel. A mask of
-  /// all ones is bit-identical to hamming_matrix.
-  void (*hamming_matrix_masked)(const std::uint64_t* const* queries,
-                                std::size_t num_queries,
-                                const std::uint64_t* const* planes,
-                                std::size_t num_planes, std::size_t words,
-                                const std::uint64_t* mask,
-                                std::uint32_t* out);
-
-  /// hamming_matrix over an arena PlaneSet: same output contract
-  /// (out[q * planes.planes + p]), but plane rows are reached by stride
-  /// arithmetic instead of a pointer-table gather, the word dimension is
-  /// walked in L2-resident tiles across all planes, and the next tile of
-  /// each plane row is software-prefetched while the current one is being
-  /// consumed. Bit-identical to hamming_matrix on the same plane contents
-  /// for every tile size.
+  /// Blocked distance matrix over an arena PlaneSet:
+  /// out[q * planes.planes + p] = hamming(queries[q], planes.plane(p),
+  /// planes.words). Queries are blocked so each plane word is loaded once
+  /// per query block, plane rows are reached by stride arithmetic, the
+  /// word dimension is walked in L2-resident tiles across all planes, and
+  /// the next tile of each plane row is software-prefetched while the
+  /// current one is being consumed — the batched associative-search
+  /// kernel. Integer partial sums make every tile size bit-identical to
+  /// per-plane hamming().
   void (*hamming_matrix_arena)(const std::uint64_t* const* queries,
                                std::size_t num_queries, const PlaneSet& planes,
                                std::uint32_t* out);
 
-  /// Masked variant of hamming_matrix_arena: `mask` holds planes.words
-  /// words ANDed into every XOR (the quarantine primitive). Bit-identical
-  /// to hamming_matrix_masked on the same plane contents.
+  /// Masked variant of hamming_matrix_arena: out[q * planes.planes + p] =
+  /// popcount((queries[q] XOR plane p) AND mask) over planes.words words.
+  /// This is the quarantine primitive of the serving runtime's graceful-
+  /// degradation ladder: excluded dimension ranges (e.g. chunks a health
+  /// sentinel flagged bad) are zeroed in `mask`, so the associative search
+  /// never reads them — TCAM-style segment exclusion on the batched
+  /// kernel. A mask of all ones is bit-identical to hamming_matrix_arena.
   void (*hamming_matrix_arena_masked)(const std::uint64_t* const* queries,
                                       std::size_t num_queries,
                                       const PlaneSet& planes,
@@ -153,24 +136,6 @@ inline std::size_t hamming_masked(const std::uint64_t* a,
                                   std::uint64_t first_mask,
                                   std::uint64_t last_mask) {
   return ops().hamming_masked(a, b, n, first_mask, last_mask);
-}
-
-inline void hamming_matrix(const std::uint64_t* const* queries,
-                           std::size_t num_queries,
-                           const std::uint64_t* const* planes,
-                           std::size_t num_planes, std::size_t words,
-                           std::uint32_t* out) {
-  ops().hamming_matrix(queries, num_queries, planes, num_planes, words, out);
-}
-
-inline void hamming_matrix_masked(const std::uint64_t* const* queries,
-                                  std::size_t num_queries,
-                                  const std::uint64_t* const* planes,
-                                  std::size_t num_planes, std::size_t words,
-                                  const std::uint64_t* mask,
-                                  std::uint32_t* out) {
-  ops().hamming_matrix_masked(queries, num_queries, planes, num_planes, words,
-                              mask, out);
 }
 
 inline void hamming_matrix_arena(const std::uint64_t* const* queries,

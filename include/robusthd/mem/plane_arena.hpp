@@ -4,24 +4,23 @@
 // The associative memory of a deployed HDC model is k (or k * precision)
 // fixed-length bit planes that every hot loop streams together: batched
 // scoring, the recovery engine's chunk sweep, the sentinel's drift diff.
-// Storing each plane as its own heap vector makes that stream a pointer-
-// table gather over scattered allocations with no alignment or locality
-// guarantee. The arena instead owns *all* planes of one model snapshot in
-// a single 64-byte-aligned allocation (optionally hugepage-backed via
-// madvise(MADV_HUGEPAGE), with graceful fallback when transparent
-// hugepages are unavailable):
+// The arena is the model's only plane storage: it owns *all* planes of one
+// model snapshot in a single 64-byte-aligned allocation (optionally
+// hugepage-backed via madvise(MADV_HUGEPAGE), with graceful fallback when
+// transparent hugepages are unavailable), and fault injection, repair,
+// WAL replay and ECC write-back all write these rows in place:
 //
 //   plane p  ->  [base + p*stride_words, base + p*stride_words + words)
 //
 // The stride is the word count rounded up to 8 (one 512-bit vector /
 // cache line), so every plane row starts cache-line-aligned and the
 // padding words stay zero. Tiling is a property of the *kernels*, not the
-// layout: plane(i) stays a plain contiguous row (existing callers keep
-// working), while the arena-native kernels (kernels::hamming_matrix_arena)
-// walk the word dimension in tiles sized so one tile of all k planes fits
-// in L2 — the in-memory-HDC "associative memory as one array" view with
-// cache blocking on top. Integer popcount partial sums make every tile
-// split bit-identical to the untiled traversal.
+// layout: plane(i) stays a plain contiguous row, while the arena kernels
+// (kernels::hamming_matrix_arena) walk the word dimension in tiles sized
+// so one tile of all k planes fits in L2 — the in-memory-HDC "associative
+// memory as one array" view with cache blocking on top. Integer popcount
+// partial sums make every tile split bit-identical to the untiled
+// traversal.
 
 #include <cstddef>
 #include <cstdint>
@@ -41,10 +40,6 @@ struct PlaneArenaConfig {
   /// the kernel refuses (THP disabled, allocation too small), the arena
   /// silently runs on normal pages and hugepage_backed() reports false.
   bool hugepages = true;
-
-  /// Reads ROBUSTHD_ARENA_TILE_KB / ROBUSTHD_ARENA_HUGEPAGES (0 disables)
-  /// over the defaults — the bench and CLI tuning knobs.
-  static PlaneArenaConfig from_env();
 };
 
 /// One model snapshot's plane storage. Deep-copyable (snapshot publication
@@ -54,7 +49,7 @@ class PlaneArena {
  public:
   PlaneArena() = default;
   PlaneArena(std::size_t planes, std::size_t dimension,
-             const PlaneArenaConfig& config = PlaneArenaConfig::from_env());
+             const PlaneArenaConfig& config = {});
   ~PlaneArena();
 
   PlaneArena(const PlaneArena& other);
@@ -104,8 +99,7 @@ class PlaneArena {
   /// Copies plane row p back out into a BinVec of the arena's dimension.
   void load_plane(std::size_t p, hv::BinVec& out) const noexcept;
   /// Copies the word range [word_begin, word_end) of `src`'s storage into
-  /// the same range of plane row p — the one-tile republish primitive: a
-  /// scrubber repair confined to one chunk moves only that chunk's words.
+  /// the same range of plane row p.
   void store_words(std::size_t p, std::size_t word_begin,
                    std::size_t word_end, const std::uint64_t* src) noexcept;
 

@@ -19,25 +19,10 @@
 
 namespace robusthd::model {
 
-/// Which physical layout the hot scoring paths read the model from.
-/// kArena (the default) routes batched scoring, masked scoring and the
-/// chunk sweep through the model's contiguous tiled mem::PlaneArena
-/// mirror whenever it is in sync; kRowMajor forces the historical
-/// per-BinVec pointer-table path. Results are bit-identical either way —
-/// the toggle exists for A/B benchmarking (bench --layout / serve-bench
-/// --layout) and as an escape hatch.
-enum class ScoringLayout { kArena, kRowMajor };
-
-/// Process-wide layout toggle (atomic; relaxed). Reads the
-/// ROBUSTHD_LAYOUT env var ("rowmajor"/"arena") on first use.
-void set_scoring_layout(ScoringLayout layout) noexcept;
-ScoringLayout scoring_layout() noexcept;
-
 /// Reusable buffers for the blocked batch-scoring path (one per thread;
 /// capacities persist across batches, so steady-state scoring performs no
 /// allocations).
 struct ScoreWorkspace {
-  std::vector<const std::uint64_t*> plane_ptrs;  ///< flattened class planes
   std::vector<const std::uint64_t*> query_ptrs;
   std::vector<std::uint32_t> distances;  ///< q x (k * planes) row-major
   std::vector<double> scores;            ///< q x k row-major
@@ -55,24 +40,21 @@ struct HdcConfig {
   std::uint64_t seed = 0xcafe;
 };
 
-/// One class hypervector, stored as weighted binary planes
-/// (plane p carries weight 2^p; 1-bit models have a single plane).
+/// One class hypervector as weighted binary planes (plane p carries weight
+/// 2^p; 1-bit models have a single plane) — the exchange format of
+/// from_planes() and class_vector(), not the model's storage.
 struct ClassVector {
   std::vector<hv::BinVec> planes;
 };
 
-/// Trained HDC model: k class hypervectors over dimension D.
+/// Trained HDC model: k class hypervectors over dimension D. The planes
+/// live in one mem::PlaneArena — row c * precision_bits() + p holds class
+/// c, plane p — and nowhere else: scoring, fault injection, repair, WAL
+/// replay and ECC write-back all read and write those rows, so every
+/// write is visible to the next score. Copies are deep (one memcpy of the
+/// arena), which is how model snapshots are published.
 class HdcModel {
  public:
-  HdcModel() = default;
-  ~HdcModel() = default;
-  /// Copying re-establishes the arena mirror when the source's is stale,
-  /// so every snapshot published by value scores through the arena.
-  HdcModel(const HdcModel& other);
-  HdcModel& operator=(const HdcModel& other);
-  HdcModel(HdcModel&&) noexcept = default;
-  HdcModel& operator=(HdcModel&&) noexcept = default;
-
   /// Single-pass bundling + retraining over pre-encoded training data.
   static HdcModel train(std::span<const hv::BinVec> encoded,
                         std::span<const int> labels, std::size_t num_classes,
@@ -84,65 +66,50 @@ class HdcModel {
       std::span<const hv::SignedAccumulator> accumulators,
       unsigned precision_bits = 1);
 
-  /// Rebuilds a model from deployed class planes (deserialisation).
+  /// Rebuilds a model from deployed class planes (deserialisation). Every
+  /// class must hold max(precision_bits, 1) planes, all of one dimension;
+  /// anything else (no classes, ragged plane counts, mixed dimensions)
+  /// throws std::invalid_argument.
   static HdcModel from_planes(std::vector<ClassVector> classes,
                               unsigned precision_bits);
 
-  std::size_t num_classes() const noexcept { return classes_.size(); }
-  std::size_t dimension() const noexcept { return dim_; }
+  std::size_t num_classes() const noexcept {
+    return arena_.num_planes() / precision_bits_;
+  }
+  std::size_t dimension() const noexcept { return arena_.dimension(); }
   unsigned precision_bits() const noexcept { return precision_bits_; }
 
-  const ClassVector& class_vector(std::size_t cls) const noexcept {
-    return classes_[cls];
-  }
-  /// Mutable class access invalidates the arena mirror (the caller may
-  /// rewrite plane bits); scoring falls back to the row-major path until
-  /// sync_arena() re-establishes coherence.
-  ClassVector& class_vector(std::size_t cls) noexcept {
-    arena_valid_ = false;
-    return classes_[cls];
-  }
+  /// One class's planes copied out as BinVecs — an export for tests,
+  /// benches and examples. Library code reads plane_words() instead.
+  ClassVector class_vector(std::size_t cls) const;
 
-  /// Mutable access to one plane *without* invalidating the arena — for
-  /// the recovery engine's repair path, which substitutes a bit range and
-  /// then republishes exactly that range via sync_arena_range(). The
-  /// caller owns coherence: mutate, then sync the touched range.
-  hv::BinVec& plane_for_repair(std::size_t cls, std::size_t plane) noexcept {
-    return classes_[cls].planes[plane];
-  }
-
-  /// Read-only packed words of one class plane — the arena row when the
-  /// mirror is live (so chunk diffs stream the same contiguous storage the
-  /// scoring kernels do), the BinVec storage otherwise. Content is
-  /// identical either way.
+  /// Read-only packed words of one class plane: the arena row, the same
+  /// storage the scoring kernels stream.
   std::span<const std::uint64_t> plane_words(std::size_t cls,
-                                             std::size_t plane) const noexcept;
+                                             std::size_t plane) const noexcept {
+    return {arena_.plane(row(cls, plane)), arena_.words()};
+  }
 
-  /// Rebuilds the arena mirror from the stored class planes. Ragged
-  /// hand-built models (unequal plane counts) stay arena-less and score
-  /// through the row-major path.
-  void sync_arena();
+  /// Writable packed words of one class plane — the arena row itself, so
+  /// repairs, WAL replay and ECC write-back land directly in the scored
+  /// storage. Writers keep the bits at positions >= dimension() clear.
+  std::span<std::uint64_t> mutable_plane_words(std::size_t cls,
+                                               std::size_t plane) noexcept {
+    return {arena_.plane(row(cls, plane)), arena_.words()};
+  }
 
-  /// Propagates the bit range [bit_begin, bit_end) of one plane into the
-  /// arena — the one-chunk republish primitive behind in-service repair.
-  /// Falls back to a full sync when the mirror is stale.
-  void sync_arena_range(std::size_t cls, std::size_t plane,
-                        std::size_t bit_begin, std::size_t bit_end);
-
-  /// True when the arena mirror matches the stored planes bit-for-bit.
-  bool arena_valid() const noexcept { return arena_valid_; }
-  /// The arena itself (geometry/diagnostics: bytes, tile width, hugepage
-  /// backing). Empty until the first sync_arena().
+  /// The plane storage itself (geometry/diagnostics: bytes, tile width,
+  /// hugepage backing).
   const mem::PlaneArena& arena() const noexcept { return arena_; }
 
   /// Normalised similarity score per class, each in [0, 1]
   /// (1-bit: 1 - hamming/D).
   std::vector<double> scores(const hv::BinVec& query) const;
 
-  /// Batched scores: one blocked pass over the stored class planes
-  /// (kernels::hamming_matrix) scores every query against every class.
-  /// Results land in ws.scores (row q holds scores(*queries[q])), bit-
-  /// identical to the per-query path. The plane-weighted multi-precision
+  /// Batched scores: one tiled pass over the arena
+  /// (kernels::hamming_matrix_arena) scores every query against every
+  /// class. Results land in ws.scores (row q holds scores(*queries[q])),
+  /// bit-identical to the per-query path. The plane-weighted multi-precision
   /// models run through the same kernel — every plane is one more row of
   /// the distance matrix.
   void scores_batch(std::span<const hv::BinVec* const> queries,
@@ -190,9 +157,11 @@ class HdcModel {
   double evaluate(std::span<const hv::BinVec> queries,
                   std::span<const int> labels) const;
 
-  /// The stored representation, one region per class plane (value_bits == 1:
+  /// The stored representation, one region per class plane over the live
+  /// words of its arena row, class-major and plane-minor (value_bits == 1:
   /// every bit is an equally weighted coordinate of a hypervector plane, so
-  /// a targeted attacker has no better-than-random bit to pick).
+  /// a targeted attacker has no better-than-random bit to pick). Flips
+  /// through these regions change the very next score.
   std::vector<fault::MemoryRegion> memory_regions();
 
  private:
@@ -200,21 +169,17 @@ class HdcModel {
   void chunk_scores_into(const hv::BinVec& query, std::size_t begin,
                          std::size_t end, double* out) const;
 
-  /// True when the hot paths should read the arena mirror: it is in sync
-  /// and the process-wide layout toggle selects it.
-  bool use_arena() const noexcept {
-    return arena_valid_ && scoring_layout() == ScoringLayout::kArena;
+  /// Plane-weighted combination of ws.distances into ws.scores, each
+  /// plane's matches counted out of `kept_dims` dimensions.
+  void combine_distances(ScoreWorkspace& ws, std::size_t queries,
+                         std::size_t kept_dims) const;
+
+  std::size_t row(std::size_t cls, std::size_t plane) const noexcept {
+    return cls * precision_bits_ + plane;
   }
 
-  std::size_t dim_ = 0;
   unsigned precision_bits_ = 1;
-  std::vector<ClassVector> classes_;
-  /// Contiguous tiled mirror of classes_ (row c * precision + p holds
-  /// class c, plane p). The BinVec planes stay authoritative — fault
-  /// injection, serialisation and recovery all mutate them — and the
-  /// arena tracks them under the arena_valid_ flag.
   mem::PlaneArena arena_;
-  bool arena_valid_ = false;
 };
 
 }  // namespace robusthd::model

@@ -16,6 +16,7 @@
 // threat model in which *all* memory is attackable.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "robusthd/model/confidence.hpp"
@@ -188,10 +189,12 @@ class RecoveryEngine {
     std::size_t updates_done = 0;
   };
 
-  /// Applies the probabilistic substitution of `bits` into the class plane
-  /// over [begin, end); returns the number of bits that actually changed.
-  std::size_t substitute(hv::BinVec& plane, const hv::BinVec& bits,
-                         std::size_t begin, std::size_t end);
+  /// Applies the probabilistic substitution of `bits` into the class
+  /// plane's words over [begin, end); returns the number of bits that
+  /// actually changed.
+  std::size_t substitute(std::span<std::uint64_t> plane,
+                         const hv::BinVec& bits, std::size_t begin,
+                         std::size_t end);
 
   HdcModel& model_;
   RecoveryConfig config_;

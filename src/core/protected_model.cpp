@@ -2,13 +2,14 @@
 
 #include <cstring>
 
+#include "robusthd/util/bitops.hpp"
+
 namespace robusthd::core {
 
 EccProtectedModel::EccProtectedModel(model::HdcModel& model) : model_(model) {
   for (std::size_t c = 0; c < model_.num_classes(); ++c) {
-    for (const auto& plane : model_.class_vector(c).planes) {
-      const auto words = plane.words();
-      planes_.emplace_back(std::as_bytes(words));
+    for (std::size_t p = 0; p < model_.precision_bits(); ++p) {
+      planes_.emplace_back(std::as_bytes(model_.plane_words(c, p)));
     }
   }
 }
@@ -41,12 +42,15 @@ std::vector<fault::ConstMemoryRegion> EccProtectedModel::memory_regions()
 mem::EccProtectedMemory::ScrubReport EccProtectedModel::scrub_and_refresh() {
   mem::EccProtectedMemory::ScrubReport total;
   std::size_t slot = 0;
+  const std::size_t tail_bits = model_.dimension() % 64;
   for (std::size_t c = 0; c < model_.num_classes(); ++c) {
-    for (auto& plane : model_.class_vector(c).planes) {
-      auto words = plane.mutable_words();
-      auto bytes = std::as_writable_bytes(words);
-      const auto report = planes_[slot].read_all(bytes);
-      plane.mask_tail();
+    for (std::size_t p = 0; p < model_.precision_bits(); ++p) {
+      // Decoded words go straight back into the model's arena row; the
+      // bits past the dimension are re-cleared as the scorer expects.
+      const auto words = model_.mutable_plane_words(c, p);
+      const auto report =
+          planes_[slot].read_all(std::as_writable_bytes(words));
+      if (tail_bits != 0) words.back() &= util::low_mask(tail_bits);
       total.clean += report.clean;
       total.corrected += report.corrected;
       total.uncorrectable += report.uncorrectable;

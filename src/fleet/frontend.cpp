@@ -360,7 +360,9 @@ void Frontend::loop_main(Loop& loop) {
           conn.last_activity = std::chrono::steady_clock::now();
         }
         bool poisoned = false;
+        bool completed_frame = false;
         while (auto frame = conn.reader.next()) {
+          completed_frame = true;
           if (!handle_frame(conn, *frame)) {
             poisoned = true;
             break;
@@ -370,15 +372,17 @@ void Frontend::loop_main(Loop& loop) {
           protocol_errors_.fetch_add(1, std::memory_order_relaxed);
           poisoned = true;
         }
-        // Read-deadline bookkeeping: a partial frame starts the clock,
-        // a drained buffer stops it.
-        if (conn.reader.buffered() > 0) {
-          if (conn.partial_since ==
-              std::chrono::steady_clock::time_point::max()) {
-            conn.partial_since = std::chrono::steady_clock::now();
-          }
-        } else {
+        // Read-deadline bookkeeping: a drained buffer stops the clock, and
+        // a partial frame left behind starts it — afresh whenever this
+        // read completed a frame, so a pipelined stream whose reads all
+        // end mid-frame stays alive while frames keep completing. Raw
+        // bytes alone never restart it: a byte trickle is still reaped.
+        if (conn.reader.buffered() == 0) {
           conn.partial_since = std::chrono::steady_clock::time_point::max();
+        } else if (completed_frame ||
+                   conn.partial_since ==
+                       std::chrono::steady_clock::time_point::max()) {
+          conn.partial_since = std::chrono::steady_clock::now();
         }
         if (poisoned || closed) {
           close_conn(fd);

@@ -64,14 +64,14 @@ void RecoveryEngine::restore_state(const RecoveryEngineState& state) {
   }
 }
 
-std::size_t RecoveryEngine::substitute(hv::BinVec& plane,
+std::size_t RecoveryEngine::substitute(std::span<std::uint64_t> plane,
                                        const hv::BinVec& bits,
                                        std::size_t begin, std::size_t end) {
   std::size_t changed = 0;
   for (std::size_t i = begin; i < end; ++i) {
     if (rng_.bernoulli(config_.substitution_prob) &&
-        plane.get(i) != bits.get(i)) {
-      plane.set(i, bits.get(i));
+        util::get_bit(plane, i) != bits.get(i)) {
+      util::set_bit(plane, i, bits.get(i));
       ++changed;
     }
   }
@@ -131,10 +131,9 @@ ObserveResult RecoveryEngine::observe(const hv::BinVec& query) {
   result.trusted = true;
 
   const auto winner = static_cast<std::size_t>(conf.predicted);
-  // plane_for_repair keeps the arena mirror live through the (common)
-  // no-repair exit paths below; when a substitution does land, the touched
-  // bit range is propagated explicitly via sync_arena_range.
-  auto& class_plane = model_.plane_for_repair(winner, 0);
+  // Repairs write the winner's arena row in place: the next score, and the
+  // next snapshot copy, already see them.
+  const auto class_plane = model_.mutable_plane_words(winner, 0);
 
   // Health watchdog: repairs must never make the model worse. Track the
   // population mean of per-class winning similarities; a sustained drop
@@ -275,9 +274,6 @@ ObserveResult RecoveryEngine::observe(const hv::BinVec& query) {
       result.substituted_bits += substitute(class_plane, majority, begin, end);
     }
     if (result.substituted_bits > 0) {
-      // One-chunk republish into the arena mirror: scoring stays on the
-      // fast path across in-service repairs.
-      model_.sync_arena_range(winner, 0, begin, end);
       result.repaired_class = winner;
       result.repaired_begin = begin;
       result.repaired_end = end;

@@ -28,11 +28,9 @@ constexpr std::size_t kMaxSegmentBytes = std::size_t{1} << 28;
 std::uint32_t model_state_crc(const model::HdcModel& model) noexcept {
   std::uint32_t crc = 0;
   for (std::size_t c = 0; c < model.num_classes(); ++c) {
-    const auto& planes = model.class_vector(c).planes;
-    for (const auto& plane : planes) {
-      const auto words = plane.words();
-      crc = util::crc32c(words.data(), words.size() * sizeof(std::uint64_t),
-                         crc);
+    for (std::size_t p = 0; p < model.precision_bits(); ++p) {
+      const auto words = model.plane_words(c, p);
+      crc = util::crc32c(words.data(), words.size_bytes(), crc);
     }
   }
   return crc;
@@ -67,13 +65,13 @@ struct Replayer {
     const auto cls = static_cast<std::size_t>(delta.cls);
     const auto plane = static_cast<std::size_t>(delta.plane);
     if (cls >= model.num_classes() ||
-        plane >= model.class_vector(cls).planes.size() ||
+        plane >= model.precision_bits() ||
         delta.word_begin > words_per_plane ||
         delta.words.size() > words_per_plane - delta.word_begin) {
       ++stats.discarded_records;  // CRC-valid but out of shape: drop, go on
       return;
     }
-    auto words = model.class_vector(cls).planes[plane].mutable_words();
+    const auto words = model.mutable_plane_words(cls, plane);
     std::copy(delta.words.begin(), delta.words.end(),
               words.begin() + static_cast<std::ptrdiff_t>(delta.word_begin));
     max_version = std::max(max_version, delta.model_version);
@@ -227,7 +225,6 @@ std::optional<Recovered> recover_dir(const std::string& dir) {
       rec.stats.state_crc_ok =
           model_state_crc(rec.model) == replayer.last_close->state_crc;
     }
-    rec.model.sync_arena();
     rec.model_version = replayer.max_version;
     rec.engine_state = std::move(replayer.committed_state);
     return rec;

@@ -170,8 +170,7 @@ void Scrubber::note_repair(const model::ObserveResult& result) {
       result.repaired_class == model::ObserveResult::kNoRepair) {
     return;
   }
-  // Bit range -> word range, the same resolution sync_arena_range used
-  // to republish the repair into the arena.
+  // Bit range -> the word range that holds it.
   const std::size_t word_begin = result.repaired_begin / 64;
   const std::size_t word_end = util::words_for_bits(result.repaired_end);
   pending_ranges_.push_back(
@@ -232,10 +231,6 @@ void Scrubber::run_commands() {
             regions, cmd.flips, cmd.mode, cmd.target_plane,
             cmd.cluster_fraction, rng);
       }
-      // The injector wrote through the BinVec regions, leaving the arena
-      // mirror stale; rebuild it so the engine's own scoring and the
-      // published copy both stay on the arena fast path.
-      working_.sync_arena();
       // Publish immediately: serving workers must see the damage the same
       // way deployed hardware would — recovery races real traffic. The
       // publish is conditional: losing to a concurrent reload discards
@@ -253,11 +248,9 @@ void Scrubber::run_commands() {
         // planes.
         if (persist_hook_) {
           pending_ranges_.clear();
-          const auto& model = std::as_const(working_);
-          const std::size_t wpp = util::words_for_bits(model.dimension());
-          for (std::size_t c = 0; c < model.num_classes(); ++c) {
-            const auto planes = model.class_vector(c).planes.size();
-            for (std::size_t p = 0; p < planes; ++p) {
+          const std::size_t wpp = util::words_for_bits(working_.dimension());
+          for (std::size_t c = 0; c < working_.num_classes(); ++c) {
+            for (std::size_t p = 0; p < working_.precision_bits(); ++p) {
               pending_ranges_.push_back(RepairedRange{c, p, 0, wpp});
             }
           }

@@ -98,8 +98,7 @@ Server::Server(model::HdcModel model, const ServerConfig& config)
             std::vector<persist::PlaneWrite> writes;
             writes.reserve(ranges.size());
             for (const auto& r : ranges) {
-              const auto words = published.class_vector(r.cls).planes[r.plane]
-                                     .words();
+              const auto words = published.plane_words(r.cls, r.plane);
               persist::PlaneWrite w;
               w.cls = static_cast<std::uint32_t>(r.cls);
               w.plane = static_cast<std::uint32_t>(r.plane);

@@ -12,6 +12,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -626,6 +627,74 @@ TEST(Fleet, SlowlorisPartialFrameIsReaped) {
   EXPECT_LE(n, 0);  // the reaper closed us, no bytes arrived
   ::close(fd);
   EXPECT_GE(frontend.counters().reaped_connections, 1u);
+
+  frontend.stop();
+  fleet.shutdown();
+}
+
+TEST(Fleet, PipelinedPartialFramesAreNotReaped) {
+  // Regression: the read-deadline clock only stopped when a read drained
+  // the buffer, so a busy pipelined stream whose every send ended
+  // mid-frame was reaped read_deadline after its first partial read even
+  // though frames kept completing.
+  const auto w = make_world(0xbc);
+  auto fleet = make_fleet(w, 1);
+  FrontendConfig fc;
+  fc.read_deadline = std::chrono::milliseconds(100);
+  Frontend frontend(fleet, fc);
+  frontend.start();
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(frontend.ports()[0]);
+  ASSERT_EQ(inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
+            0);
+  const int one = 1;
+  (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+
+  // One pipelined stream of 16 requests, sent as 16 pieces: each piece
+  // finishes the previous frame and stops halfway into the next, 25 ms
+  // apart — 400 ms in all, 4x the read deadline.
+  constexpr std::size_t kFrames = 16;
+  std::vector<std::byte> stream;
+  std::vector<std::size_t> frame_end;
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    wire::append_predict_request(stream, 1, i + 1, w.queries[i]);
+    frame_end.push_back(stream.size());
+  }
+  const std::size_t half = frame_end[0] / 2;
+  std::size_t sent = 0;
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    const std::size_t upto = i + 1 < kFrames ? frame_end[i] + half
+                                             : stream.size();
+    const std::vector<std::byte> piece(stream.begin() + sent,
+                                       stream.begin() + upto);
+    send_prefix(fd, piece, piece.size());
+    sent = upto;
+    std::this_thread::sleep_for(std::chrono::milliseconds(25));
+  }
+
+  // Every request is answered on the still-open connection.
+  wire::FrameReader reader;
+  std::size_t answered = 0;
+  std::array<std::byte, 4096> buf{};
+  while (answered < kFrames) {
+    pollfd pfd{fd, POLLIN, 0};
+    if (::poll(&pfd, 1, 2000) <= 0) break;
+    const auto n = ::recv(fd, buf.data(), buf.size(), 0);
+    if (n <= 0) break;
+    reader.feed({buf.data(), static_cast<std::size_t>(n)});
+    while (auto frame = reader.next()) {
+      ASSERT_EQ(frame->type, wire::FrameType::kPredictResponse);
+      ++answered;
+    }
+  }
+  ::close(fd);
+  EXPECT_EQ(answered, kFrames);
+  EXPECT_EQ(frontend.counters().reaped_connections, 0u);
 
   frontend.stop();
   fleet.shutdown();

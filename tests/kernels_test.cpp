@@ -3,8 +3,9 @@
 // Every available ISA tier (scalar / AVX2 / AVX-512) is checked bit-for-bit
 // against a naive per-word reference on awkward dimensions (sub-word,
 // exactly one word, word+1, and the paper-scale 10k), on adversarial word
-// patterns (all-zeros, all-ones), and at the odd query/plane counts that
-// exercise the 4-query block tails of the distance-matrix kernel. The
+// patterns (all-zeros, all-ones), and at the odd query/plane counts and
+// tile widths that exercise the block tails of the arena distance-matrix
+// kernels. The
 // higher layers that were rewired onto the kernels (BinVec rotation and
 // ranged Hamming, batch scoring, zero-allocation encoding, the crossbar
 // cost cross-check) are then held to the same standard: bit-identical to
@@ -23,6 +24,7 @@
 #include "robusthd/hv/accumulator.hpp"
 #include "robusthd/hv/binvec.hpp"
 #include "robusthd/hv/encoder.hpp"
+#include "robusthd/mem/plane_arena.hpp"
 #include "robusthd/model/hdc_model.hpp"
 #include "robusthd/pim/gpu_ref.hpp"
 #include "robusthd/pim/hdc_kernels.hpp"
@@ -150,9 +152,27 @@ TEST(KernelEquivalence, HammingMaskedAllIsas) {
   }
 }
 
+/// Random plane rows of `words` words each in a PlaneArena (the only
+/// storage the matrix kernels read), plus the same rows as plain vectors
+/// for the reference.
+mem::PlaneArena random_arena(std::size_t planes, std::size_t words,
+                             util::Xoshiro256& rng,
+                             std::vector<std::vector<std::uint64_t>>& rows) {
+  mem::PlaneArena arena(planes, words * 64);
+  rows.clear();
+  for (std::size_t p = 0; p < planes; ++p) {
+    rows.push_back(random_words(words, rng));
+    std::copy(rows.back().begin(), rows.back().end(), arena.plane(p));
+  }
+  return arena;
+}
+
+/// Tile widths forced on the arena view: whole vectors and untiled (0).
+constexpr std::array<std::size_t, 3> kTileWidths = {8, 16, 0};
+
 TEST(KernelEquivalence, HammingMatrixAllIsas) {
   util::Xoshiro256 rng(0x7ab1e);
-  // Odd query/plane counts hit the 4-query block tail and the per-plane
+  // Odd query/plane counts hit the 8/4-query group tails and the per-plane
   // remainder paths of every variant.
   const std::array<std::pair<std::size_t, std::size_t>, 6> shapes = {{
       {1, 1}, {1, 7}, {3, 2}, {4, 4}, {5, 3}, {9, 11}}};
@@ -162,23 +182,23 @@ TEST(KernelEquivalence, HammingMatrixAllIsas) {
     for (const std::size_t words : {1, 2, 5, 17, 157}) {
       for (const auto [nq, np] : shapes) {
         std::vector<std::vector<std::uint64_t>> qs, ps;
-        std::vector<const std::uint64_t*> qp, pp;
+        std::vector<const std::uint64_t*> qp;
         for (std::size_t i = 0; i < nq; ++i) {
           qs.push_back(random_words(words, rng));
           qp.push_back(qs.back().data());
         }
-        for (std::size_t i = 0; i < np; ++i) {
-          ps.push_back(random_words(words, rng));
-          pp.push_back(ps.back().data());
-        }
-        std::vector<std::uint32_t> out(nq * np, 0xdeadbeef);
-        ops->hamming_matrix(qp.data(), nq, pp.data(), np, words, out.data());
-        for (std::size_t q = 0; q < nq; ++q) {
-          for (std::size_t p = 0; p < np; ++p) {
-            EXPECT_EQ(out[q * np + p],
-                      ref_hamming(qp[q], pp[p], words))
-                << kernels::isa_name(isa) << " words=" << words << " q=" << q
-                << " p=" << p;
+        const auto arena = random_arena(np, words, rng, ps);
+        for (const std::size_t tile : kTileWidths) {
+          auto view = arena.view();
+          view.tile_words = tile;
+          std::vector<std::uint32_t> out(nq * np, 0xdeadbeef);
+          ops->hamming_matrix_arena(qp.data(), nq, view, out.data());
+          for (std::size_t q = 0; q < nq; ++q) {
+            for (std::size_t p = 0; p < np; ++p) {
+              EXPECT_EQ(out[q * np + p], ref_hamming(qp[q], ps[p].data(), words))
+                  << kernels::isa_name(isa) << " words=" << words
+                  << " tile=" << tile << " q=" << q << " p=" << p;
+            }
           }
         }
       }
@@ -209,40 +229,41 @@ TEST(KernelEquivalence, HammingMatrixMaskedAllIsas) {
       const std::vector<std::uint64_t> zeros(words, 0ULL);
       for (const auto [nq, np] : shapes) {
         std::vector<std::vector<std::uint64_t>> qs, ps;
-        std::vector<const std::uint64_t*> qp, pp;
+        std::vector<const std::uint64_t*> qp;
         for (std::size_t i = 0; i < nq; ++i) {
           qs.push_back(random_words(words, rng));
           qp.push_back(qs.back().data());
         }
-        for (std::size_t i = 0; i < np; ++i) {
-          ps.push_back(random_words(words, rng));
-          pp.push_back(ps.back().data());
-        }
-        for (const auto* mask :
-             {&random_mask, static_cast<const std::vector<std::uint64_t>*>(
-                                &ones),
-              static_cast<const std::vector<std::uint64_t>*>(&zeros)}) {
-          std::vector<std::uint32_t> out(nq * np, 0xdeadbeef);
-          ops->hamming_matrix_masked(qp.data(), nq, pp.data(), np, words,
-                                     mask->data(), out.data());
-          for (std::size_t q = 0; q < nq; ++q) {
-            for (std::size_t p = 0; p < np; ++p) {
-              EXPECT_EQ(out[q * np + p],
-                        ref_masked(qp[q], pp[p], mask->data(), words))
-                  << kernels::isa_name(isa) << " words=" << words
-                  << " q=" << q << " p=" << p;
+        const auto arena = random_arena(np, words, rng, ps);
+        for (const std::size_t tile : kTileWidths) {
+          auto view = arena.view();
+          view.tile_words = tile;
+          for (const auto* mask :
+               {&random_mask, static_cast<const std::vector<std::uint64_t>*>(
+                                  &ones),
+                static_cast<const std::vector<std::uint64_t>*>(&zeros)}) {
+            std::vector<std::uint32_t> out(nq * np, 0xdeadbeef);
+            ops->hamming_matrix_arena_masked(qp.data(), nq, view,
+                                             mask->data(), out.data());
+            for (std::size_t q = 0; q < nq; ++q) {
+              for (std::size_t p = 0; p < np; ++p) {
+                EXPECT_EQ(out[q * np + p],
+                          ref_masked(qp[q], ps[p].data(), mask->data(), words))
+                    << kernels::isa_name(isa) << " words=" << words
+                    << " tile=" << tile << " q=" << q << " p=" << p;
+              }
             }
           }
+          // All-ones mask == the unmasked kernel, element for element.
+          std::vector<std::uint32_t> masked_out(nq * np, 0);
+          std::vector<std::uint32_t> plain_out(nq * np, 1);
+          ops->hamming_matrix_arena_masked(qp.data(), nq, view, ones.data(),
+                                           masked_out.data());
+          ops->hamming_matrix_arena(qp.data(), nq, view, plain_out.data());
+          EXPECT_EQ(masked_out, plain_out)
+              << kernels::isa_name(isa) << " words=" << words
+              << " tile=" << tile;
         }
-        // All-ones mask == the unmasked matrix kernel, element for element.
-        std::vector<std::uint32_t> masked_out(nq * np, 0);
-        std::vector<std::uint32_t> plain_out(nq * np, 1);
-        ops->hamming_matrix_masked(qp.data(), nq, pp.data(), np, words,
-                                   ones.data(), masked_out.data());
-        ops->hamming_matrix(qp.data(), nq, pp.data(), np, words,
-                            plain_out.data());
-        EXPECT_EQ(masked_out, plain_out)
-            << kernels::isa_name(isa) << " words=" << words;
       }
     }
   }
@@ -486,19 +507,17 @@ TEST(PimKernels, HammingMatrixMatchesCrossbarSearch) {
   const std::size_t dim = 96;  // keep the functional simulator small
   const std::size_t classes = 4;
   pim::CrossbarHdcUnit unit(dim, classes);
-  std::vector<hv::BinVec> stored;
-  std::vector<const std::uint64_t*> planes;
+  mem::PlaneArena planes(classes, dim);
   for (std::size_t c = 0; c < classes; ++c) {
-    stored.push_back(hv::BinVec::random(dim, rng));
-    unit.load_class(c, stored.back());
-    planes.push_back(stored.back().words().data());
+    const auto stored = hv::BinVec::random(dim, rng);
+    unit.load_class(c, stored);
+    planes.store_plane(c, stored);
   }
   const auto query = hv::BinVec::random(dim, rng);
   const auto in_memory = unit.hamming_search(query);
   const std::uint64_t* qp = query.words().data();
   std::vector<std::uint32_t> simd(classes);
-  kernels::hamming_matrix(&qp, 1, planes.data(), classes,
-                          query.words().size(), simd.data());
+  kernels::hamming_matrix_arena(&qp, 1, planes.view(), simd.data());
   ASSERT_EQ(in_memory.size(), classes);
   for (std::size_t c = 0; c < classes; ++c) {
     EXPECT_EQ(in_memory[c], simd[c]) << "class " << c;

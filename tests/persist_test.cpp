@@ -46,6 +46,8 @@ namespace robusthd::persist {
 namespace {
 
 constexpr std::size_t kDim = 1024;
+// Whole words: the raw plane-word writes below leave no tail bits to clear.
+static_assert(kDim % 64 == 0);
 constexpr std::size_t kClasses = 4;
 
 std::string temp_dir() {
@@ -332,14 +334,13 @@ TEST(EpochLog, ReplayIsBitIdenticalToTheLastClosedEpoch) {
     // journal exactly those ranges.
     for (std::uint64_t version = 1; version <= 20; ++version) {
       const auto cls = rng.next() % kClasses;
-      auto words = model.class_vector(cls).planes[0].mutable_words();
+      const auto words = model.mutable_plane_words(cls, 0);
       const std::size_t begin = rng.next() % (words.size() - 4);
       const std::size_t count = 1 + rng.next() % 4;
       std::vector<std::uint64_t> fresh(count);
       for (auto& w : fresh) w = rng.next();
       std::copy(fresh.begin(), fresh.end(),
                 words.begin() + static_cast<std::ptrdiff_t>(begin));
-      model.class_vector(cls).planes[0].mask_tail();
       std::copy(words.begin() + static_cast<std::ptrdiff_t>(begin),
                 words.begin() + static_cast<std::ptrdiff_t>(begin + count),
                 fresh.begin());
@@ -363,7 +364,6 @@ TEST(EpochLog, ReplayIsBitIdenticalToTheLastClosedEpoch) {
   EXPECT_TRUE(rec->stats.state_crc_ok);
   EXPECT_FALSE(rec->stats.torn_tail);
   EXPECT_EQ(rec->model_version, 20u);
-  model.sync_arena();
   EXPECT_TRUE(models_bit_identical(rec->model, model));
   remove_tree(dir);
 }
@@ -418,7 +418,6 @@ TEST(EpochLog, UnterminatedEpochIsDiscardedOnReplay) {
   const auto rec = recover_dir(dir);
   ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(rec->stats.discarded_records, 1u);
-  model.sync_arena();
   EXPECT_TRUE(models_bit_identical(rec->model, model));  // delta NOT applied
   remove_tree(dir);
 }
@@ -456,7 +455,6 @@ TEST(EpochLog, RotationFencesStalePublications) {
   const auto rec = recover_dir(dir);
   ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(rec->generation, 1u);
-  model_b.sync_arena();
   EXPECT_TRUE(models_bit_identical(rec->model, model_b));
   remove_tree(dir);
 }
@@ -471,12 +469,11 @@ TEST(EpochLog, CompactionFoldsTheWalIntoAFreshBase) {
     util::Xoshiro256 rng(37);
     for (std::uint64_t version = 1; version <= 30; ++version) {
       const auto cls = rng.next() % kClasses;
-      auto words = model.class_vector(cls).planes[0].mutable_words();
+      const auto words = model.mutable_plane_words(cls, 0);
       const std::size_t begin = rng.next() % (words.size() - 2);
       std::vector<std::uint64_t> fresh{rng.next(), rng.next()};
       std::copy(fresh.begin(), fresh.end(),
                 words.begin() + static_cast<std::ptrdiff_t>(begin));
-      model.class_vector(cls).planes[0].mask_tail();
       std::copy(words.begin() + static_cast<std::ptrdiff_t>(begin),
                 words.begin() + static_cast<std::ptrdiff_t>(begin + 2),
                 fresh.begin());
@@ -494,7 +491,6 @@ TEST(EpochLog, CompactionFoldsTheWalIntoAFreshBase) {
   ASSERT_TRUE(rec.has_value());
   EXPECT_TRUE(rec->stats.state_crc_ok);
   EXPECT_GE(rec->generation, 1u);
-  model.sync_arena();
   EXPECT_TRUE(models_bit_identical(rec->model, model));
   remove_tree(dir);
 }
@@ -567,7 +563,6 @@ TEST(ServerPersist, ReloadRotatesTheGenerationAndRecoversTheNewModel) {
     server.shutdown();
   }
   auto recovered = serve::Server::recover(dir, persist_server_config(dir));
-  model_b.sync_arena();
   EXPECT_TRUE(models_bit_identical(*recovered->current_model(), model_b));
   EXPECT_GT(recovered->stats().replay_records, 0u);
   recovered->shutdown();
@@ -593,9 +588,9 @@ TEST(ServerPersist, ReloadRacingRecoveredServerIsClean) {
   });
   util::Xoshiro256 rng(61);
   for (int i = 0; i < 100; ++i) {
-    // Const access: the reloader thread is concurrently copying `model`,
-    // and the mutable class_vector overload writes the arena-valid flag.
-    auto q = std::as_const(model).class_vector(rng.next() % kClasses).planes[0];
+    // Read-only export: the reloader thread is concurrently copying
+    // `model`.
+    auto q = model.class_vector(rng.next() % kClasses).planes[0];
     (void)recovered->submit(std::move(q)).get();
   }
   reloader.join();

@@ -4,11 +4,12 @@
 // and per-row alignment, vector-multiple and set-de-aliased stride, L1/L2
 // tile geometry), the hugepage request plumbing and its graceful
 // fallback, BinVec round-trips through store/load, the arena kernels'
-// bit-identity with the row-major matrix kernels on every available ISA
-// (awkward dimensions, all-ones and random masks), and the model-level
-// coherence contract: layout-toggled scoring, copy/move semantics,
-// invalidation on mutable class access, and ranged republish after an
-// in-place repair.
+// bit-identity with a per-bit reference over the row-major source BinVecs
+// on every available ISA (awkward dimensions, several tile widths, all-
+// ones / all-zero / random / single-chunk masks), and the model-level
+// storage contract: the arena is the only copy of the planes, so writes
+// through memory_regions() or mutable_plane_words() change the very next
+// score, copies are deep, and ragged input is rejected.
 #include "robusthd/mem/plane_arena.hpp"
 
 #include <gtest/gtest.h>
@@ -16,6 +17,9 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <span>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -175,7 +179,40 @@ TEST(PlaneArenaTest, StoreWordsUpdatesOnlyRange) {
   EXPECT_EQ(out, sources[2]);
 }
 
-// ---- kernel equivalence -------------------------------------------------
+// ---- kernel equivalence ------------------------------------------------
+
+/// Per-bit reference: popcount((q XOR plane) AND mask) over the first
+/// `dim` bits, read straight off the row-major source BinVecs.
+std::uint32_t ref_distance(const hv::BinVec& q, const hv::BinVec& plane,
+                           std::span<const std::uint64_t> mask,
+                           std::size_t dim) {
+  std::uint32_t d = 0;
+  for (std::size_t i = 0; i < dim; ++i) {
+    d += (q.get(i) != plane.get(i)) && util::get_bit(mask, i);
+  }
+  return d;
+}
+
+/// Masks over `dim` bits: all-ones, all-zero, random, and one chunk (the
+/// middle fifth) kept — the quarantine shapes the serving ladder produces.
+std::vector<util::AlignedU64Vec> test_masks(std::size_t dim,
+                                            util::Xoshiro256& rng) {
+  const std::size_t words = util::words_for_bits(dim);
+  util::AlignedU64Vec ones(words, ~0ull);
+  if (dim % 64 != 0) ones[words - 1] = util::low_mask(dim % 64);
+  util::AlignedU64Vec zeros(words, 0);
+  util::AlignedU64Vec random(words);
+  for (std::size_t w = 0; w < words; ++w) random[w] = rng.next() & ones[w];
+  util::AlignedU64Vec chunk(words, 0);
+  for (std::size_t i = dim * 2 / 5; i < dim * 3 / 5; ++i) {
+    util::set_bit(chunk, i, true);
+  }
+  return {ones, zeros, random, chunk};
+}
+
+/// Tile widths to force on the arena view: 8, 24 and 64 words (whole
+/// vectors, so multi-tile at D=10000) and 0 = untiled.
+constexpr std::array<std::size_t, 4> kTileWidths = {8, 24, 64, 0};
 
 TEST(PlaneArenaTest, ArenaKernelMatchesRowMajorEveryIsa) {
   util::Xoshiro256 rng(4);
@@ -185,24 +222,32 @@ TEST(PlaneArenaTest, ArenaKernelMatchesRowMajorEveryIsa) {
     const auto arena = make_arena(planes, dim, rng, sources);
 
     std::vector<hv::BinVec> queries_store;
-    std::vector<const std::uint64_t*> queries, rows;
+    std::vector<const std::uint64_t*> queries;
     // 13 queries: exercises the 8-, 4-, and single-query group rims.
     for (std::size_t q = 0; q < 13; ++q) {
       queries_store.push_back(hv::BinVec::random(dim, rng));
     }
     for (const auto& q : queries_store) queries.push_back(q.words().data());
-    for (const auto& s : sources) rows.push_back(s.words().data());
+    const auto all_ones = test_masks(dim, rng)[0];
+    std::vector<std::uint32_t> want;
+    for (const auto& q : queries_store) {
+      for (const auto& plane : sources) {
+        want.push_back(ref_distance(q, plane, all_ones, dim));
+      }
+    }
 
     for (const auto isa : kAllIsas) {
       const auto* ops = kernels::ops_for(isa);
       if (ops == nullptr) continue;
-      std::vector<std::uint32_t> want(queries.size() * planes, 0xdead);
-      std::vector<std::uint32_t> got(queries.size() * planes, 0xbeef);
-      ops->hamming_matrix(queries.data(), queries.size(), rows.data(), planes,
-                          arena.words(), want.data());
-      ops->hamming_matrix_arena(queries.data(), queries.size(), arena.view(),
-                                got.data());
-      EXPECT_EQ(got, want) << kernels::isa_name(isa) << " dim " << dim;
+      for (const std::size_t tile : kTileWidths) {
+        auto view = arena.view();
+        view.tile_words = tile;
+        std::vector<std::uint32_t> got(queries.size() * planes, 0xbeef);
+        ops->hamming_matrix_arena(queries.data(), queries.size(), view,
+                                  got.data());
+        EXPECT_EQ(got, want) << kernels::isa_name(isa) << " dim " << dim
+                             << " tile " << tile;
+      }
     }
   }
 }
@@ -211,37 +256,35 @@ TEST(PlaneArenaTest, MaskedArenaKernelMatchesRowMajorEveryIsa) {
   util::Xoshiro256 rng(5);
   for (std::size_t dim : {63u, 64u, 65u, 10000u}) {
     const std::size_t planes = 5;
-    const std::size_t words = util::words_for_bits(dim);
     std::vector<hv::BinVec> sources;
     const auto arena = make_arena(planes, dim, rng, sources);
 
     std::vector<hv::BinVec> queries_store;
-    std::vector<const std::uint64_t*> queries, rows;
+    std::vector<const std::uint64_t*> queries;
     for (std::size_t q = 0; q < 9; ++q) {
       queries_store.push_back(hv::BinVec::random(dim, rng));
     }
     for (const auto& q : queries_store) queries.push_back(q.words().data());
-    for (const auto& s : sources) rows.push_back(s.words().data());
 
-    // All-ones (within the dimension) and a random quarantine-style mask.
-    util::AlignedU64Vec all_ones(words, ~0ull);
-    if (dim % 64 != 0) all_ones[words - 1] = util::low_mask(dim % 64);
-    util::AlignedU64Vec random_mask(words);
-    for (auto& w : random_mask) w = rng.next();
-    random_mask[words - 1] &= all_ones[words - 1];
-
-    for (const auto* mask : {&all_ones, &random_mask}) {
+    for (const auto& mask : test_masks(dim, rng)) {
+      std::vector<std::uint32_t> want;
+      for (const auto& q : queries_store) {
+        for (const auto& plane : sources) {
+          want.push_back(ref_distance(q, plane, mask, dim));
+        }
+      }
       for (const auto isa : kAllIsas) {
         const auto* ops = kernels::ops_for(isa);
         if (ops == nullptr) continue;
-        std::vector<std::uint32_t> want(queries.size() * planes, 1);
-        std::vector<std::uint32_t> got(queries.size() * planes, 2);
-        ops->hamming_matrix_masked(queries.data(), queries.size(), rows.data(),
-                                   planes, words, mask->data(), want.data());
-        ops->hamming_matrix_arena_masked(queries.data(), queries.size(),
-                                         arena.view(), mask->data(),
-                                         got.data());
-        EXPECT_EQ(got, want) << kernels::isa_name(isa) << " dim " << dim;
+        for (const std::size_t tile : kTileWidths) {
+          auto view = arena.view();
+          view.tile_words = tile;
+          std::vector<std::uint32_t> got(queries.size() * planes, 2);
+          ops->hamming_matrix_arena_masked(queries.data(), queries.size(),
+                                           view, mask.data(), got.data());
+          EXPECT_EQ(got, want) << kernels::isa_name(isa) << " dim " << dim
+                               << " tile " << tile;
+        }
       }
     }
   }
@@ -289,19 +332,7 @@ TEST(PlaneArenaTest, MoveTransfersOwnership) {
   EXPECT_EQ(out, sources[1]);
 }
 
-// ---- model coherence ----------------------------------------------------
-
-class ScopedLayout {
- public:
-  explicit ScopedLayout(model::ScoringLayout layout)
-      : prev_(model::scoring_layout()) {
-    model::set_scoring_layout(layout);
-  }
-  ~ScopedLayout() { model::set_scoring_layout(prev_); }
-
- private:
-  model::ScoringLayout prev_;
-};
+// ---- model storage ------------------------------------------------------
 
 model::HdcModel random_model(std::size_t classes, std::size_t dim,
                              unsigned precision_bits, util::Xoshiro256& rng) {
@@ -316,18 +347,52 @@ model::HdcModel random_model(std::size_t classes, std::size_t dim,
   return model::HdcModel::from_planes(std::move(cvs), precision_bits);
 }
 
+/// A fresh model built from `m`'s exported planes — what the scores of a
+/// model whose planes were written in place must equal.
+model::HdcModel rebuild(const model::HdcModel& m) {
+  std::vector<model::ClassVector> cvs;
+  for (std::size_t c = 0; c < m.num_classes(); ++c) {
+    cvs.push_back(m.class_vector(c));
+  }
+  return model::HdcModel::from_planes(std::move(cvs), m.precision_bits());
+}
+
+/// Per-bit reference scores over the dimensions set in `mask`, with the
+/// model's float operation order (plane-ascending weighted sum, then one
+/// division).
+std::vector<double> ref_scores(const model::HdcModel& m, const hv::BinVec& q,
+                               std::span<const std::uint64_t> mask,
+                               std::size_t kept) {
+  const unsigned bits = m.precision_bits();
+  const double denom =
+      static_cast<double>(kept) * static_cast<double>((1u << bits) - 1);
+  std::vector<double> out;
+  for (std::size_t c = 0; c < m.num_classes(); ++c) {
+    const auto cv = m.class_vector(c);
+    double score = 0.0;
+    for (unsigned p = 0; p < bits; ++p) {
+      const std::size_t matches =
+          kept - ref_distance(q, cv.planes[p], mask, m.dimension());
+      score += static_cast<double>(1u << p) * static_cast<double>(matches);
+    }
+    out.push_back(score / denom);
+  }
+  return out;
+}
+
 TEST(PlaneArenaModelTest, FactoriesEstablishTheArena) {
   util::Xoshiro256 rng(8);
   const auto m = random_model(6, 10000, 2, rng);
-  EXPECT_TRUE(m.arena_valid());
+  EXPECT_EQ(m.num_classes(), 6u);
   EXPECT_EQ(m.arena().num_planes(), 12u);
   EXPECT_EQ(m.arena().dimension(), 10000u);
 }
 
-TEST(PlaneArenaModelTest, LayoutsScoreBitIdentically) {
+TEST(PlaneArenaModelTest, ScoresMatchPerBitReference) {
   util::Xoshiro256 rng(9);
   for (unsigned precision : {1u, 3u}) {
     const auto m = random_model(5, 10000, precision, rng);
+    const auto all_ones = test_masks(10000, rng)[0];
     std::vector<hv::BinVec> queries;
     // 70 queries: crosses the arena block's 8/4/1 group rims.
     for (int q = 0; q < 70; ++q) {
@@ -336,129 +401,146 @@ TEST(PlaneArenaModelTest, LayoutsScoreBitIdentically) {
     std::vector<const hv::BinVec*> ptrs;
     for (const auto& q : queries) ptrs.push_back(&q);
 
-    model::ScoreWorkspace rowmajor_ws, arena_ws;
-    std::vector<int> rowmajor_pred, arena_pred;
-    {
-      ScopedLayout layout(model::ScoringLayout::kRowMajor);
-      m.scores_batch(ptrs, rowmajor_ws);
-      rowmajor_pred = m.predict_batch(queries, 1);
+    model::ScoreWorkspace ws;
+    m.scores_batch(ptrs, ws);
+    const auto pred = m.predict_batch(queries, 1);
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      const auto want = ref_scores(m, queries[i], all_ones, 10000);
+      const std::vector<double> got(ws.scores.begin() + i * 5,
+                                    ws.scores.begin() + (i + 1) * 5);
+      EXPECT_EQ(got, want) << "precision " << precision << " query " << i;
+      EXPECT_EQ(m.scores(queries[i]), want);
+      EXPECT_EQ(pred[i], m.predict(queries[i]));
     }
-    {
-      ScopedLayout layout(model::ScoringLayout::kArena);
-      m.scores_batch(ptrs, arena_ws);
-      arena_pred = m.predict_batch(queries, 1);
-    }
-    EXPECT_EQ(arena_ws.scores, rowmajor_ws.scores) << "precision " << precision;
-    EXPECT_EQ(arena_pred, rowmajor_pred);
   }
 }
 
-TEST(PlaneArenaModelTest, MaskedLayoutsScoreBitIdentically) {
+TEST(PlaneArenaModelTest, MaskedScoresMatchPerBitReference) {
   util::Xoshiro256 rng(10);
   const auto m = random_model(4, 10000, 1, rng);
-  const std::size_t words = util::words_for_bits(10000);
   std::vector<hv::BinVec> queries;
   for (int q = 0; q < 9; ++q) queries.push_back(hv::BinVec::random(10000, rng));
   std::vector<const hv::BinVec*> ptrs;
   for (const auto& q : queries) ptrs.push_back(&q);
 
-  util::AlignedU64Vec mask(words, ~0ull);
-  mask[words - 1] = util::low_mask(10000 % 64);
-  // Quarantine a chunk in the middle.
-  for (std::size_t w = 50; w < 80; ++w) mask[w] = 0;
-  std::size_t kept = 0;
-  for (const auto w : mask) kept += std::popcount(w);
-
-  model::ScoreWorkspace rowmajor_ws, arena_ws;
-  {
-    ScopedLayout layout(model::ScoringLayout::kRowMajor);
-    m.scores_batch_masked(ptrs, mask, kept, rowmajor_ws);
+  for (const auto& mask : test_masks(10000, rng)) {
+    std::size_t kept = 0;
+    for (const auto w : mask) kept += std::popcount(w);
+    model::ScoreWorkspace ws;
+    m.scores_batch_masked(ptrs, mask, kept, ws);
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      const std::vector<double> got(ws.scores.begin() + i * 4,
+                                    ws.scores.begin() + (i + 1) * 4);
+      if (kept == 0) {
+        EXPECT_EQ(got, std::vector<double>(4, 0.0));
+      } else {
+        EXPECT_EQ(got, ref_scores(m, queries[i], mask, kept)) << "query " << i;
+      }
+    }
   }
-  {
-    ScopedLayout layout(model::ScoringLayout::kArena);
-    m.scores_batch_masked(ptrs, mask, kept, arena_ws);
-  }
-  EXPECT_EQ(arena_ws.scores, rowmajor_ws.scores);
 }
 
-TEST(PlaneArenaModelTest, MutableAccessInvalidatesAndSyncRestores) {
+TEST(PlaneArenaModelTest, FaultsThroughMemoryRegionsScoreImmediately) {
   util::Xoshiro256 rng(11);
-  auto m = random_model(3, 4000, 1, rng);
-  ASSERT_TRUE(m.arena_valid());
-
-  auto& cv = m.class_vector(1);
-  EXPECT_FALSE(m.arena_valid());
-  cv.planes[0].flip(123);
-
-  // Stale mirror: scoring still works (row-major fallback) and matches a
-  // freshly synced arena bit-for-bit.
+  auto m = random_model(3, 4000, 2, rng);
   const auto query = hv::BinVec::random(4000, rng);
-  const auto stale_scores = m.scores(query);
-  m.sync_arena();
-  ASSERT_TRUE(m.arena_valid());
-  ScopedLayout layout(model::ScoringLayout::kArena);
-  EXPECT_EQ(m.scores(query), stale_scores);
-  EXPECT_EQ(m.plane_words(1, 0)[1], cv.planes[0].words()[1]);
+  const auto clean_scores = m.scores(query);
+
+  // Region contract: one region per plane, class-major / plane-minor,
+  // covering exactly the plane's live words.
+  auto regions = m.memory_regions();
+  ASSERT_EQ(regions.size(), 6u);
+  for (std::size_t c = 0; c < 3; ++c) {
+    for (std::size_t p = 0; p < 2; ++p) {
+      const auto& r = regions[c * 2 + p];
+      EXPECT_EQ(r.name,
+                "class" + std::to_string(c) + "/plane" + std::to_string(p));
+      EXPECT_EQ(r.bytes.size(), util::words_for_bits(4000) * 8);
+      EXPECT_EQ(static_cast<const void*>(r.bytes.data()),
+                static_cast<const void*>(m.plane_words(c, p).data()));
+    }
+  }
+
+  // Flip a quarter of class 1's plane-0 bits: no sync step exists, so the
+  // very next score sees the damage...
+  for (std::size_t bit = 0; bit < 4000; bit += 4) {
+    util::flip_bit(regions[2].bytes, bit);
+  }
+  const auto damaged_scores = m.scores(query);
+  EXPECT_NE(damaged_scores, clean_scores);
+  EXPECT_EQ(damaged_scores[0], clean_scores[0]);
+  EXPECT_EQ(damaged_scores[2], clean_scores[2]);
+
+  // ...and every scoring path agrees with a model rebuilt from the damaged
+  // planes.
+  const auto rebuilt = rebuild(m);
+  EXPECT_EQ(damaged_scores, rebuilt.scores(query));
+  const std::vector<const hv::BinVec*> ptrs = {&query};
+  model::ScoreWorkspace ws, rebuilt_ws;
+  m.scores_batch(ptrs, ws);
+  rebuilt.scores_batch(ptrs, rebuilt_ws);
+  EXPECT_EQ(ws.scores, rebuilt_ws.scores);
+  EXPECT_EQ(ws.scores, damaged_scores);
 }
 
-TEST(PlaneArenaModelTest, RangedRepublishAfterRepair) {
+TEST(PlaneArenaModelTest, RepairThroughPlaneWordsScoresImmediately) {
   util::Xoshiro256 rng(12);
   auto m = random_model(3, 10000, 1, rng);
-  ASSERT_TRUE(m.arena_valid());
+  const auto before = m.class_vector(2).planes[0];
 
   // In-place repair of bits [3200, 4800) of class 2, plane 0 — the
-  // recovery engine's pattern: mutate via plane_for_repair, republish
-  // exactly the touched range.
-  auto& plane = m.plane_for_repair(2, 0);
+  // recovery engine's pattern.
+  const auto words = m.mutable_plane_words(2, 0);
   for (std::size_t bit = 3200; bit < 4800; ++bit) {
-    if (rng.next() & 1) plane.flip(bit);
+    if (rng.next() & 1) util::flip_bit(words, bit);
   }
-  EXPECT_TRUE(m.arena_valid());  // not invalidated by design
-  m.sync_arena_range(2, 0, 3200, 4800);
+  const auto after = m.class_vector(2).planes[0];
+  EXPECT_NE(after, before);
+  EXPECT_EQ(hv::hamming_range(after, before, 0, 3200), 0u);
+  EXPECT_EQ(hv::hamming_range(after, before, 4800, 10000), 0u);
 
-  // The arena row now matches the repaired plane everywhere.
-  const auto arena_words = m.plane_words(2, 0);
-  for (std::size_t w = 0; w < arena_words.size(); ++w) {
-    ASSERT_EQ(arena_words[w], plane.words()[w]) << "word " << w;
-  }
-
-  // And both layouts agree on scores after the repair.
   const auto query = hv::BinVec::random(10000, rng);
-  std::vector<double> rowmajor_scores, arena_scores;
-  {
-    ScopedLayout layout(model::ScoringLayout::kRowMajor);
-    rowmajor_scores = m.scores(query);
-  }
-  {
-    ScopedLayout layout(model::ScoringLayout::kArena);
-    arena_scores = m.scores(query);
-  }
-  EXPECT_EQ(arena_scores, rowmajor_scores);
+  EXPECT_EQ(m.scores(query), rebuild(m).scores(query));
+  EXPECT_EQ(m.scores(query)[2],
+            static_cast<double>(10000 - hv::hamming(query, after)) / 10000.0);
 }
 
-TEST(PlaneArenaModelTest, CopySyncsStaleMirror) {
+TEST(PlaneArenaModelTest, CopyIsDeepAndIndependent) {
   util::Xoshiro256 rng(13);
   auto m = random_model(3, 4000, 1, rng);
-  m.class_vector(0).planes[0].flip(7);  // invalidate
-  ASSERT_FALSE(m.arena_valid());
-
-  // Copy-construction re-establishes the mirror (snapshot publication).
   const model::HdcModel copy(m);
-  EXPECT_TRUE(copy.arena_valid());
-  EXPECT_EQ(copy.plane_words(0, 0)[0], m.class_vector(0).planes[0].words()[0]);
+  EXPECT_NE(copy.plane_words(0, 0).data(), m.plane_words(0, 0).data());
+  util::flip_bit(m.mutable_plane_words(0, 0), 7);
+  EXPECT_NE(copy.class_vector(0).planes[0], m.class_vector(0).planes[0]);
+  EXPECT_EQ(hv::hamming(copy.class_vector(0).planes[0],
+                        m.class_vector(0).planes[0]),
+            1u);
 
-  // Copy-assignment from a valid source stays valid.
-  model::HdcModel assigned;
-  assigned = copy;
-  EXPECT_TRUE(assigned.arena_valid());
+  // Same-geometry assignment reuses the destination's allocation.
+  model::HdcModel assigned = random_model(3, 4000, 1, rng);
+  const std::uint64_t* base = assigned.plane_words(0, 0).data();
+  assigned = m;
+  EXPECT_EQ(assigned.plane_words(0, 0).data(), base);
+  EXPECT_EQ(assigned.class_vector(0).planes[0], m.class_vector(0).planes[0]);
+}
 
-  // Ragged models stay arena-less and score row-major.
+TEST(PlaneArenaModelTest, FromPlanesRejectsRaggedInput) {
+  util::Xoshiro256 rng(14);
+  // Unequal plane counts.
   std::vector<model::ClassVector> ragged(2);
   ragged[0].planes.push_back(hv::BinVec::random(1000, rng));
   ragged[0].planes.push_back(hv::BinVec::random(1000, rng));
   ragged[1].planes.push_back(hv::BinVec::random(1000, rng));
-  auto ragged_model = model::HdcModel::from_planes(std::move(ragged), 2);
-  EXPECT_FALSE(ragged_model.arena_valid());
+  EXPECT_THROW(model::HdcModel::from_planes(ragged, 2), std::invalid_argument);
+  // Plane count disagreeing with the precision.
+  EXPECT_THROW(model::HdcModel::from_planes(ragged, 1), std::invalid_argument);
+  // Mixed dimensions.
+  std::vector<model::ClassVector> mixed(2);
+  mixed[0].planes.push_back(hv::BinVec::random(1000, rng));
+  mixed[1].planes.push_back(hv::BinVec::random(1001, rng));
+  EXPECT_THROW(model::HdcModel::from_planes(mixed, 1), std::invalid_argument);
+  // Nothing at all.
+  EXPECT_THROW(model::HdcModel::from_planes({}, 1), std::invalid_argument);
 }
 
 }  // namespace

@@ -78,9 +78,9 @@ std::pair<std::size_t, std::size_t> chunk_range(std::size_t c,
 /// Inverts every bit of `cls`'s plane 0 inside chunk `c`.
 void invert_chunk(model::HdcModel& model, std::size_t cls, std::size_t c,
                   std::size_t m) {
-  auto& plane = model.class_vector(cls).planes[0];
+  const auto plane = model.mutable_plane_words(cls, 0);
   const auto [begin, end] = chunk_range(c, model.dimension(), m);
-  for (std::size_t d = begin; d < end; ++d) plane.flip(d);
+  for (std::size_t d = begin; d < end; ++d) util::flip_bit(plane, d);
 }
 
 double accuracy(const model::HdcModel& model,
