@@ -83,12 +83,13 @@ void BM_Predict(benchmark::State& state) {
 BENCHMARK(BM_Predict)->Arg(2)->Arg(12)->Arg(26);
 
 void BM_EncodeInto(benchmark::State& state) {
-  // Workspace-reuse variant of BM_Encode: the bit-sliced counter and the
-  // output vector persist across iterations, so steady state allocates
-  // nothing per sample. The gap to BM_Encode is the allocator cost the
-  // serve workers no longer pay.
+  // Workspace-reuse variant of BM_Encode at (features, D): the gathered
+  // pointers and the output vector persist across iterations, so steady
+  // state allocates nothing per sample — the serve workers' encode path.
+  // (75, 4000) is the PAMAP serving shape, (617, 10000) ISOLET.
   const auto features = static_cast<std::size_t>(state.range(0));
   hv::EncoderConfig config;
+  config.dimension = static_cast<std::size_t>(state.range(1));
   hv::RecordEncoder encoder(features, config);
   util::Xoshiro256 rng(4);
   std::vector<float> sample(features);
@@ -101,7 +102,11 @@ void BM_EncodeInto(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * features);
 }
-BENCHMARK(BM_EncodeInto)->Arg(75)->Arg(561)->Arg(784);
+BENCHMARK(BM_EncodeInto)
+    ->Args({75, 4000})
+    ->Args({561, 10000})
+    ->Args({617, 10000})
+    ->Args({784, 10000});
 
 void BM_PredictBatch(benchmark::State& state) {
   // Batched inference through the blocked distance-matrix kernel; compare

@@ -1,72 +1,33 @@
 #pragma once
-// Bundling accumulators.
+// Bundling.
 //
 // HDC bundling is per-dimension integer addition of binary vectors followed
 // by a majority threshold. Encoding a sample bundles up to ~800 bound
-// vectors (one per feature), so the encoder uses a word-parallel bit-sliced
-// counter (O(log n) word ops per 64 dimensions) instead of 10,000 scalar
-// counters. Class training bundles far fewer, larger vectors and uses plain
-// int32 counters for clarity.
+// vectors (one per feature), so every encoder bundles through the
+// dispatched carry-save kernel (kernels::Ops::bundle_majority): the
+// per-dimension counts live bit-sliced in SIMD registers, one block of
+// words at a time, and never touch memory. Class training bundles far
+// fewer, larger vectors and uses plain int32 counters for clarity.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "robusthd/hv/binvec.hpp"
 
 namespace robusthd::hv {
 
-/// Word-parallel unsigned counters: plane p holds bit p of every
-/// dimension's count. Adding a binary vector is a ripple-carry add over the
-/// planes, which costs O(planes) word ops per word of input.
-class BitSliceCounter {
- public:
-  BitSliceCounter() = default;
-  explicit BitSliceCounter(std::size_t dimension);
-
-  std::size_t dimension() const noexcept { return dim_; }
-  std::size_t plane_count() const noexcept { return planes_.size(); }
-  std::size_t added() const noexcept { return added_; }
-
-  /// counts += bits (each dimension incremented where `bits` has a 1).
-  void add(const BinVec& bits);
-
-  /// counts += (a XOR b) — the fused bind-then-bundle step of record
-  /// encoding. Equivalent to add(bind(a, b)) but never materialises the
-  /// bound vector, so an encode loop does zero allocations per feature.
-  void add_bound(const BinVec& a, const BinVec& b);
-
-  /// Per-dimension count.
-  std::uint32_t count(std::size_t dim) const noexcept;
-
-  /// Majority threshold: bit i of the result is 1 iff count(i)*2 > total,
-  /// ties broken by `tie_break` (a deterministic pseudo-random vector keeps
-  /// thresholded vectors unbiased when the bundle size is even).
-  BinVec threshold_majority(const BinVec* tie_break = nullptr) const;
-
-  /// Allocation-free variant: writes the majority threshold into `out`
-  /// (resized only when the dimension changed). Word-parallel bit-sliced
-  /// compare — O(planes) word ops per 64 dimensions, not O(D * planes).
-  void threshold_majority_into(BinVec& out,
-                               const BinVec* tie_break = nullptr) const;
-
-  /// Threshold against an arbitrary cut: bit i = count(i) > cut.
-  BinVec threshold(std::uint32_t cut) const;
-
-  /// Clears the counters for reuse. Plane storage is zeroed in place and
-  /// kept, so a reused counter (EncodeWorkspace) allocates nothing once
-  /// its plane count has stabilised.
-  void reset();
-
-  /// Re-targets the counter to `dimension`, reusing plane storage when the
-  /// word width is unchanged.
-  void resize(std::size_t dimension);
-
- private:
-  std::size_t dim_ = 0;
-  std::size_t words_ = 0;
-  std::size_t added_ = 0;
-  std::vector<std::vector<std::uint64_t>> planes_;
-};
+/// Majority bundle into `out` (resized to `dimension` only when it differs):
+/// bit i is 1 when more than half of rows[k] ⊕ binds[k] have bit i set,
+/// ties (even bundle sizes only) take bit i of `tie_break`, or 0 when it is
+/// null. `binds` is empty (rows are bundled as they are) or as long as
+/// `rows`; each pointer addresses the words of a `dimension`-bit vector.
+/// The rows are read in place, so the bound vectors are never
+/// materialised and the call allocates nothing once `out` is sized.
+void bundle_majority_into(std::size_t dimension,
+                          std::span<const std::uint64_t* const> rows,
+                          std::span<const std::uint64_t* const> binds,
+                          const BinVec* tie_break, BinVec& out);
 
 /// Plain signed per-dimension counters used for class-hypervector training
 /// and retraining (supports subtraction for perceptron-style updates).

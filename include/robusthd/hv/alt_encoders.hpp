@@ -12,7 +12,6 @@
 
 #include <cstdint>
 
-#include "robusthd/hv/accumulator.hpp"
 #include "robusthd/hv/encoder_base.hpp"
 #include "robusthd/hv/itemmemory.hpp"
 

@@ -10,7 +10,6 @@
 #include <span>
 
 #include "robusthd/data/dataset.hpp"
-#include "robusthd/hv/accumulator.hpp"
 #include "robusthd/hv/encoder_base.hpp"
 #include "robusthd/hv/itemmemory.hpp"
 
@@ -40,9 +39,10 @@ class RecordEncoder final : public Encoder {
   /// hypervector.
   BinVec encode(std::span<const float> features) const override;
 
-  /// Zero-allocation encode: fused bind-then-ripple-add into the
-  /// workspace's counter, word-parallel majority threshold into `out`.
-  /// Steady state (ws warm, out sized) allocates nothing.
+  /// Zero-allocation encode: gathers each feature's level and base word
+  /// pointers into `ws` and bundles L(f_k) ⊕ B_k through the carry-save
+  /// kernel straight into `out` — the bound vectors are never
+  /// materialised. Steady state (ws warm, out sized) allocates nothing.
   void encode_into(std::span<const float> features, BinVec& out,
                    EncodeWorkspace& ws) const override;
 

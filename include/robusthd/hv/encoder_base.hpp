@@ -6,27 +6,29 @@
 // ablated — robustness claims should survive the choice of encoding, and
 // `bench/ablation_encoders` checks that they do.
 
+#include <cstdint>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "robusthd/data/dataset.hpp"
-#include "robusthd/hv/accumulator.hpp"
 #include "robusthd/hv/binvec.hpp"
 
 namespace robusthd::hv {
 
-/// Reusable encode scratch: owns the bit-sliced bundle counter so a hot
-/// encode loop (trainer, serve worker) performs zero heap allocations per
-/// sample once the counter's plane stack has reached its working depth.
-/// One workspace per thread; never share across threads.
+/// Reusable encode scratch: the word pointers an encoder gathers for the
+/// bundling kernel (one row and one bind per feature), kept across calls
+/// so a hot encode loop (trainer, serve worker) performs zero heap
+/// allocations per sample once the vectors have grown to the feature
+/// count. One workspace per thread; never share across threads.
 struct EncodeWorkspace {
-  BitSliceCounter counter;
+  std::vector<const std::uint64_t*> rows;
+  std::vector<const std::uint64_t*> binds;
 
   /// Fingerprint of the owned storage. Steady-state paths assert (debug)
   /// that it stops changing — i.e. that encoding really allocates nothing.
   std::pair<std::size_t, std::size_t> capacity_signature() const noexcept {
-    return {counter.dimension(), counter.plane_count()};
+    return {rows.capacity(), binds.capacity()};
   }
 };
 

@@ -16,6 +16,13 @@
 
 namespace robusthd::hv {
 
+/// Maps a normalised feature value onto one of `level_count` (>= 1)
+/// levels: values in [0, 1] round to the nearest level, values outside
+/// clamp to the end levels (±inf included) and NaN maps to level 0. Total,
+/// so no input can index past a level table; shared by every
+/// level-quantising encoder.
+std::size_t quantize_level(float value, std::size_t level_count) noexcept;
+
 /// Immutable after construction; shared by the encoder for train and test.
 class ItemMemory {
  public:
@@ -35,8 +42,10 @@ class ItemMemory {
     return levels_[level];
   }
 
-  /// Maps a normalised feature value in [0, 1] to a level index.
-  std::size_t level_index(float value) const noexcept;
+  /// Maps a normalised feature value to a level index (quantize_level).
+  std::size_t level_index(float value) const noexcept {
+    return quantize_level(value, levels_.size());
+  }
 
  private:
   std::size_t dim_;

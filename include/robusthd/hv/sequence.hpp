@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "robusthd/hv/accumulator.hpp"
 #include "robusthd/hv/binvec.hpp"
 
 namespace robusthd::hv {

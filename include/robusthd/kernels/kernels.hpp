@@ -17,10 +17,13 @@
 //                       model's mem::PlaneArena: a batch of queries is
 //                       scored in one tiled pass over the stored class
 //                       planes instead of Q*K independent scans
+//   * bundle_majority — majority of n (optionally XOR-bound) binary rows,
+//                       counted in registers with a Harley–Seal carry-save
+//                       tree: the bundling step of every encoder
 //
 // Variants: portable scalar (the reference all others are tested against),
-// AVX2 (Harley–Seal carry-save popcount), AVX-512 (VPOPCNTDQ). Dispatch
-// honours two environment overrides, read once at first use:
+// AVX2 (Harley–Seal carry-save popcount), AVX-512 (VPOPCNTDQ, VPTERNLOGQ).
+// Dispatch honours two environment overrides, read once at first use:
 //
 //   ROBUSTHD_FORCE_SCALAR=1       force the scalar reference
 //   ROBUSTHD_ISA=scalar|avx2|avx512   cap the selected ISA
@@ -103,6 +106,21 @@ struct Ops {
                                       const PlaneSet& planes,
                                       const std::uint64_t* mask,
                                       std::uint32_t* out);
+
+  /// Majority bundle of n binary rows, each optionally XOR-bound to a
+  /// partner: bit i of out[0, words) is 1 when 2·#{k : bit i of rows[k] ⊕
+  /// binds[k]} > n. Ties (2·count == n, even n only) take bit i of
+  /// tie_break, or 0 when tie_break is null; n == 0 therefore returns the
+  /// tie vector. binds == nullptr bundles the rows as they are. Every row
+  /// (and bind, and tie_break) holds at least `words` words and nothing
+  /// past them is read. The loop is word-column-major: each block of
+  /// lane-width words counts all n inputs in registers with a carry-save
+  /// adder tree, compares the bit-sliced count against floor(n/2) and is
+  /// stored once — the counts are exact, so every tier is bit-identical.
+  void (*bundle_majority)(const std::uint64_t* const* rows,
+                          const std::uint64_t* const* binds, std::size_t n,
+                          std::size_t words, const std::uint64_t* tie_break,
+                          std::uint64_t* out);
 };
 
 /// The kernel table for the ISA selected at first use. Thread-safe; the
@@ -150,6 +168,13 @@ inline void hamming_matrix_arena_masked(const std::uint64_t* const* queries,
                                         const std::uint64_t* mask,
                                         std::uint32_t* out) {
   ops().hamming_matrix_arena_masked(queries, num_queries, planes, mask, out);
+}
+
+inline void bundle_majority(const std::uint64_t* const* rows,
+                            const std::uint64_t* const* binds, std::size_t n,
+                            std::size_t words, const std::uint64_t* tie_break,
+                            std::uint64_t* out) {
+  ops().bundle_majority(rows, binds, n, words, tie_break, out);
 }
 
 }  // namespace robusthd::kernels

@@ -98,10 +98,6 @@ class PlaneArena {
   void store_plane(std::size_t p, const hv::BinVec& v) noexcept;
   /// Copies plane row p back out into a BinVec of the arena's dimension.
   void load_plane(std::size_t p, hv::BinVec& out) const noexcept;
-  /// Copies the word range [word_begin, word_end) of `src`'s storage into
-  /// the same range of plane row p.
-  void store_words(std::size_t p, std::size_t word_begin,
-                   std::size_t word_end, const std::uint64_t* src) noexcept;
 
  private:
   void allocate(const PlaneArenaConfig& config);

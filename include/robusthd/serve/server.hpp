@@ -155,7 +155,10 @@ class Server {
 
   /// Enqueues a raw (normalised) feature vector; a worker encodes it with
   /// ServerConfig::encoder before scoring. Throws std::logic_error when no
-  /// encoder was configured.
+  /// encoder was configured. A vector whose length is not the encoder's
+  /// feature_count() is not enqueued: the returned future holds
+  /// std::invalid_argument and the request counts as rejected. Any values
+  /// are accepted (NaN and ±inf quantise like out-of-range values).
   std::future<Response> submit_features(std::vector<float> features);
 
   /// Convenience: submits the whole span and waits for every response,

@@ -143,7 +143,9 @@ class BatchSizeDistribution {
 struct ServerStats {
   // Admission.
   std::uint64_t submitted = 0;   ///< requests accepted into the queue
-  std::uint64_t rejected = 0;    ///< try_submit failures (queue full/closed)
+  /// try_submit failures (queue full/closed) and submit_features calls
+  /// refused for a wrong feature count.
+  std::uint64_t rejected = 0;
   std::uint64_t completed = 0;   ///< promises fulfilled
   /// Requests dropped because their propagated deadline expired before a
   /// worker reached them (the client already gave up — scoring would be

@@ -1,151 +1,27 @@
 #include "robusthd/hv/accumulator.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <cmath>
 
+#include "robusthd/kernels/kernels.hpp"
 #include "robusthd/util/stats.hpp"
 
 namespace robusthd::hv {
 
-BitSliceCounter::BitSliceCounter(std::size_t dimension)
-    : dim_(dimension), words_(util::words_for_bits(dimension)) {}
-
-namespace {
-
-/// Ripple-carry add of the 1-bit operand `word` into the plane stack at
-/// word index `w`, growing the stack only when the count overflows every
-/// existing plane.
-inline void ripple_add_word(std::vector<std::vector<std::uint64_t>>& planes,
-                            std::size_t words, std::size_t w,
-                            std::uint64_t carry) {
-  for (std::size_t p = 0; p < planes.size() && carry; ++p) {
-    const std::uint64_t sum = planes[p][w] ^ carry;
-    carry &= planes[p][w];
-    planes[p][w] = sum;
-  }
-  if (carry) {
-    planes.emplace_back(words, 0);
-    planes.back()[w] = carry;
-  }
-}
-
-}  // namespace
-
-void BitSliceCounter::add(const BinVec& bits) {
-  assert(bits.dimension() == dim_);
-  const auto in = bits.words();
-  // Ripple-carry add of a 1-bit operand across all planes, word-parallel.
-  for (std::size_t w = 0; w < words_; ++w) {
-    ripple_add_word(planes_, words_, w, in[w]);
-  }
-  ++added_;
-}
-
-void BitSliceCounter::add_bound(const BinVec& a, const BinVec& b) {
-  assert(a.dimension() == dim_ && b.dimension() == dim_);
-  const auto aw = a.words();
-  const auto bw = b.words();
-  // Fused XOR-bind + bundle: the bound vector exists only as one word of
-  // live register state per iteration.
-  for (std::size_t w = 0; w < words_; ++w) {
-    ripple_add_word(planes_, words_, w, aw[w] ^ bw[w]);
-  }
-  ++added_;
-}
-
-std::uint32_t BitSliceCounter::count(std::size_t dim) const noexcept {
-  std::uint32_t c = 0;
-  const std::size_t word = dim >> 6;
-  const std::size_t bit = dim & 63;
-  for (std::size_t p = 0; p < planes_.size(); ++p) {
-    c |= static_cast<std::uint32_t>((planes_[p][word] >> bit) & 1ULL) << p;
-  }
-  return c;
-}
-
-namespace {
-
-/// Bit-sliced comparison of every dimension's count against the constant
-/// `cut` for one word column: `gt` gets a 1 where count > cut, `eq` where
-/// count == cut. Planes at p >= plane_count are treated as zero so the
-/// comparison is exact even when `cut` needs more bits than the stack
-/// holds.
-inline void compare_counts_word(
-    const std::vector<std::vector<std::uint64_t>>& planes, std::size_t w,
-    std::uint32_t cut, std::uint64_t& gt, std::uint64_t& eq) noexcept {
-  gt = 0;
-  eq = ~0ULL;
-  const std::size_t cut_bits =
-      cut == 0 ? 0 : static_cast<std::size_t>(std::bit_width(cut));
-  const std::size_t top = std::max(planes.size(), cut_bits);
-  for (std::size_t p = top; p-- > 0;) {
-    const std::uint64_t plane = p < planes.size() ? planes[p][w] : 0;
-    const std::uint64_t cbit = (cut >> p) & 1u ? ~0ULL : 0;
-    gt |= eq & plane & ~cbit;
-    eq &= ~(plane ^ cbit);
-  }
-}
-
-}  // namespace
-
-void BitSliceCounter::threshold_majority_into(BinVec& out,
-                                              const BinVec* tie_break) const {
-  if (out.dimension() != dim_) out = BinVec(dim_);
-  const auto total = static_cast<std::uint32_t>(added_);
-  // count*2 > total  <=>  count > floor(total/2)  (for odd totals the
-  // strict inequality rounds the same way); ties (count*2 == total) only
-  // exist when the total is even.
-  const std::uint32_t cut = total / 2;
-  const bool ties_possible = (total % 2) == 0;
-  auto ow = out.mutable_words();
-  for (std::size_t w = 0; w < words_; ++w) {
-    std::uint64_t gt, eq;
-    compare_counts_word(planes_, w, cut, gt, eq);
-    std::uint64_t bits = gt;
-    if (ties_possible && tie_break != nullptr) {
-      bits |= eq & tie_break->words()[w];
-    }
-    ow[w] = bits;
-  }
+void bundle_majority_into(std::size_t dimension,
+                          std::span<const std::uint64_t* const> rows,
+                          std::span<const std::uint64_t* const> binds,
+                          const BinVec* tie_break, BinVec& out) {
+  assert(binds.empty() || binds.size() == rows.size());
+  assert(tie_break == nullptr || tie_break->dimension() == dimension);
+  if (out.dimension() != dimension) out = BinVec(dimension);
+  kernels::bundle_majority(rows.data(), binds.empty() ? nullptr : binds.data(),
+                           rows.size(), out.word_count(),
+                           tie_break != nullptr ? tie_break->words().data()
+                                                : nullptr,
+                           out.mutable_words().data());
   out.mask_tail();
-}
-
-BinVec BitSliceCounter::threshold_majority(const BinVec* tie_break) const {
-  BinVec out(dim_);
-  threshold_majority_into(out, tie_break);
-  return out;
-}
-
-BinVec BitSliceCounter::threshold(std::uint32_t cut) const {
-  BinVec out(dim_);
-  auto ow = out.mutable_words();
-  for (std::size_t w = 0; w < words_; ++w) {
-    std::uint64_t gt, eq;
-    compare_counts_word(planes_, w, cut, gt, eq);
-    ow[w] = gt;
-  }
-  out.mask_tail();
-  return out;
-}
-
-void BitSliceCounter::reset() {
-  // Zero in place: plane storage survives, so steady-state reuse through
-  // EncodeWorkspace performs no allocations once the stack has grown to
-  // its working depth (ceil(log2(bundle size)) planes).
-  for (auto& plane : planes_) std::fill(plane.begin(), plane.end(), 0);
-  added_ = 0;
-}
-
-void BitSliceCounter::resize(std::size_t dimension) {
-  const std::size_t words = util::words_for_bits(dimension);
-  if (words != words_) {
-    planes_.clear();
-    words_ = words;
-  }
-  dim_ = dimension;
-  reset();
 }
 
 void SignedAccumulator::add(const BinVec& bits, std::int32_t weight) {

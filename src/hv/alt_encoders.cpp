@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cmath>
 
+#include "robusthd/hv/accumulator.hpp"
+
 namespace robusthd::hv {
 
 ThermometerEncoder::ThermometerEncoder(std::size_t feature_count,
@@ -37,14 +39,16 @@ ThermometerEncoder::ThermometerEncoder(std::size_t feature_count,
 
 BinVec ThermometerEncoder::encode(std::span<const float> features) const {
   assert(features.size() == features_);
-  BitSliceCounter acc(dim_);
-  const auto last = static_cast<float>(levels_ - 1);
+  // The codes are pre-bound, so the rows are bundled as they are.
+  std::vector<const std::uint64_t*> rows(features.size());
   for (std::size_t k = 0; k < features.size(); ++k) {
-    const float v = std::clamp(features[k], 0.0f, 1.0f) * last;
-    const auto level = static_cast<std::size_t>(std::lround(v));
-    acc.add(codes_[k * levels_ + level]);
+    rows[k] = codes_[k * levels_ + quantize_level(features[k], levels_)]
+                  .words()
+                  .data();
   }
-  return acc.threshold_majority(&tie_break_);
+  BinVec out;
+  bundle_majority_into(dim_, rows, {}, &tie_break_, out);
+  return out;
 }
 
 RandomProjectionEncoder::RandomProjectionEncoder(std::size_t feature_count,

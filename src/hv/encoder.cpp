@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "robusthd/hv/accumulator.hpp"
+
 namespace robusthd::hv {
 
 RecordEncoder::RecordEncoder(std::size_t feature_count,
@@ -13,8 +15,7 @@ RecordEncoder::RecordEncoder(std::size_t feature_count,
 
 BinVec RecordEncoder::encode(std::span<const float> features) const {
   // Per-thread workspace: repeated encodes on the same thread (encode_all
-  // under parallel_for, trainer loops) reuse the counter's plane storage,
-  // so even this convenience overload is allocation-free at steady state.
+  // under parallel_for, trainer loops) reuse the gathered pointer storage.
   thread_local EncodeWorkspace ws;
   BinVec out;
   encode_into(features, out, ws);
@@ -24,14 +25,15 @@ BinVec RecordEncoder::encode(std::span<const float> features) const {
 void RecordEncoder::encode_into(std::span<const float> features, BinVec& out,
                                 EncodeWorkspace& ws) const {
   assert(features.size() == memory_.feature_count());
-  ws.counter.resize(memory_.dimension());
+  ws.rows.resize(features.size());
+  ws.binds.resize(features.size());
   for (std::size_t k = 0; k < features.size(); ++k) {
-    const auto& level = memory_.level(memory_.level_index(features[k]));
-    // Fused bind-then-ripple-add: L(f_k) XOR B_k goes straight into the
-    // bit-sliced counters without materialising the bound vector.
-    ws.counter.add_bound(level, memory_.base(k));
+    ws.rows[k] =
+        memory_.level(memory_.level_index(features[k])).words().data();
+    ws.binds[k] = memory_.base(k).words().data();
   }
-  ws.counter.threshold_majority_into(out, &tie_break_);
+  bundle_majority_into(memory_.dimension(), ws.rows, ws.binds, &tie_break_,
+                       out);
 }
 
 }  // namespace robusthd::hv

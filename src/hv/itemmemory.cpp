@@ -36,10 +36,14 @@ ItemMemory::ItemMemory(std::size_t dimension, std::size_t feature_count,
   }
 }
 
-std::size_t ItemMemory::level_index(float value) const noexcept {
-  const auto last = static_cast<float>(levels_.size() - 1);
-  const float v = std::clamp(value, 0.0f, 1.0f) * last;
-  return static_cast<std::size_t>(std::lround(v));
+std::size_t quantize_level(float value, std::size_t level_count) noexcept {
+  // !(value > 0) also catches NaN, which std::clamp would pass through to
+  // lround (whose result for NaN is unspecified).
+  if (!(value > 0.0f)) return 0;
+  const std::size_t last = level_count - 1;
+  if (value >= 1.0f) return last;
+  return static_cast<std::size_t>(
+      std::lround(value * static_cast<float>(last)));
 }
 
 }  // namespace robusthd::hv

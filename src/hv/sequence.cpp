@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "robusthd/hv/accumulator.hpp"
+
 namespace robusthd::hv {
 
 SequenceEncoder::SequenceEncoder(std::size_t alphabet, const Config& config)
@@ -51,11 +53,19 @@ BinVec SequenceEncoder::encode(std::span<const std::size_t> sequence) const {
     }
     return gram;
   }
-  BitSliceCounter acc(dim_);
+  // n-grams bind n rotated symbols, so they are materialised first and
+  // then bundled as they are.
+  std::vector<BinVec> grams;
+  grams.reserve(sequence.size() - n_ + 1);
   for (std::size_t t = 0; t + n_ <= sequence.size(); ++t) {
-    acc.add(encode_ngram(sequence.subspan(t, n_)));
+    grams.push_back(encode_ngram(sequence.subspan(t, n_)));
   }
-  return acc.threshold_majority(&tie_break_);
+  std::vector<const std::uint64_t*> rows;
+  rows.reserve(grams.size());
+  for (const auto& gram : grams) rows.push_back(gram.words().data());
+  BinVec out;
+  bundle_majority_into(dim_, rows, {}, &tie_break_, out);
+  return out;
 }
 
 }  // namespace robusthd::hv

@@ -1,5 +1,6 @@
 // AVX2 kernels: Harley–Seal carry-save popcount (Muła/Kurz/Lemire) for the
-// long reductions, PSHUFB nibble popcount for the blocked arena kernels.
+// long reductions, PSHUFB nibble popcount for the blocked arena kernels,
+// and the same carry-save adders counting bundles 4 words at a time.
 // This TU is the only place compiled with -mavx2; it is reached strictly
 // through the runtime dispatcher, so building it never makes the library
 // require AVX2 at load time.
@@ -311,11 +312,49 @@ void hamming_matrix_arena_masked_avx2(const std::uint64_t* const* queries,
   }
 }
 
+/// Four words per lane for the carry-save bundling template.
+struct Lane256 {
+  using V = __m256i;
+  static V zero() noexcept { return _mm256_setzero_si256(); }
+  static V all_ones() noexcept { return _mm256_set1_epi64x(-1); }
+  static V load(const std::uint64_t* p) noexcept {
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+  }
+  static V bxor(V a, V b) noexcept { return _mm256_xor_si256(a, b); }
+  static V band(V a, V b) noexcept { return _mm256_and_si256(a, b); }
+  static V bor(V a, V b) noexcept { return _mm256_or_si256(a, b); }
+  static V andnot(V a, V b) noexcept { return _mm256_andnot_si256(a, b); }
+  static void csa(V& h, V& l, V a, V b, V c) noexcept {
+    detail::csa(h, l, a, b, c);
+  }
+};
+
+// Word-column-major: every 4-word block counts all n inputs in ymm
+// registers and stores its majority once; the < 4 tail words go through
+// the scalar path, so no load reads past a row's last word.
+void bundle_majority_avx2(const std::uint64_t* const* rows,
+                          const std::uint64_t* const* binds, std::size_t n,
+                          std::size_t words, const std::uint64_t* tie_break,
+                          std::uint64_t* out) {
+  std::size_t w = 0;
+  for (; w + 4 <= words; w += 4) {
+    const __m256i tie =
+        tie_break != nullptr ? Lane256::load(tie_break + w) : Lane256::zero();
+    const __m256i bits =
+        binds != nullptr
+            ? bundle_block<Lane256, true>(rows, binds, n, w, tie)
+            : bundle_block<Lane256, false>(rows, binds, n, w, tie);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + w), bits);
+  }
+  bundle_majority_columns_scalar(rows, binds, n, w, words, tie_break, out);
+}
+
 constexpr Ops kAvx2Ops{popcount_avx2,
                        hamming_avx2,
                        hamming_masked_avx2,
                        hamming_matrix_arena_avx2,
-                       hamming_matrix_arena_masked_avx2};
+                       hamming_matrix_arena_masked_avx2,
+                       bundle_majority_avx2};
 
 }  // namespace
 

@@ -1,7 +1,8 @@
 // AVX-512 kernels: VPOPCNTDQ gives a native per-64-bit-lane popcount, so
 // every kernel is a straight-line XOR + VPOPCNTQ + ADD stream over 512-bit
 // blocks, with masked loads covering the tail words (masked-out lanes read
-// as zero and contribute nothing). This TU is the only place compiled with
+// as zero and contribute nothing). Bundling counts 8 words at a time with
+// VPTERNLOGQ carry-save adders. This TU is the only place compiled with
 // AVX-512 flags; it is reached strictly through the runtime dispatcher.
 
 #include "kernels_internal.hpp"
@@ -14,8 +15,6 @@
 #include <utility>
 
 namespace robusthd::kernels::detail {
-
-
 
 namespace {
 
@@ -256,11 +255,54 @@ void hamming_matrix_arena_masked_avx512(const std::uint64_t* const* queries,
   }
 }
 
+/// Eight words per lane for the carry-save bundling template. VPTERNLOGQ
+/// fuses each CSA into two instructions: 0x96 is the three-way XOR (sum),
+/// 0xE8 the three-way majority (carry); 0x0C is ~a & b.
+struct Lane512 {
+  using V = __m512i;
+  static V zero() noexcept { return _mm512_setzero_si512(); }
+  static V all_ones() noexcept { return _mm512_set1_epi64(-1); }
+  static V load(const std::uint64_t* p) noexcept {
+    return _mm512_loadu_si512(p);
+  }
+  static V bxor(V a, V b) noexcept { return _mm512_xor_si512(a, b); }
+  static V band(V a, V b) noexcept { return _mm512_and_si512(a, b); }
+  static V bor(V a, V b) noexcept { return _mm512_or_si512(a, b); }
+  static V andnot(V a, V b) noexcept {
+    return _mm512_ternarylogic_epi64(a, b, b, 0x0C);  // ~a & b
+  }
+  static void csa(V& h, V& l, V a, V b, V c) noexcept {
+    h = _mm512_ternarylogic_epi64(a, b, c, 0xE8);
+    l = _mm512_ternarylogic_epi64(a, b, c, 0x96);
+  }
+};
+
+// Word-column-major: every 8-word block counts all n inputs in zmm
+// registers and stores its majority once; the < 8 tail words go through
+// the scalar path, so no load reads past a row's last word.
+void bundle_majority_avx512(const std::uint64_t* const* rows,
+                            const std::uint64_t* const* binds, std::size_t n,
+                            std::size_t words, const std::uint64_t* tie_break,
+                            std::uint64_t* out) {
+  std::size_t w = 0;
+  for (; w + 8 <= words; w += 8) {
+    const __m512i tie =
+        tie_break != nullptr ? Lane512::load(tie_break + w) : Lane512::zero();
+    const __m512i bits =
+        binds != nullptr
+            ? bundle_block<Lane512, true>(rows, binds, n, w, tie)
+            : bundle_block<Lane512, false>(rows, binds, n, w, tie);
+    _mm512_storeu_si512(out + w, bits);
+  }
+  bundle_majority_columns_scalar(rows, binds, n, w, words, tie_break, out);
+}
+
 constexpr Ops kAvx512Ops{popcount_avx512,
                          hamming_avx512,
                          hamming_masked_avx512,
                          hamming_matrix_arena_avx512,
-                         hamming_matrix_arena_masked_avx512};
+                         hamming_matrix_arena_masked_avx512,
+                         bundle_majority_avx512};
 
 }  // namespace
 

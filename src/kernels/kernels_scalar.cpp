@@ -2,6 +2,10 @@
 // variant is tested bit-for-bit against. Compiled with the project's
 // baseline flags only, so it runs on any x86-64 (or non-x86) host.
 //
+// bundle_majority counts one word column at a time through the shared
+// carry-save template (kernels_internal.hpp); the SIMD variants run the
+// same template on wider lanes and finish their tail words here.
+//
 // The arena matrix kernels still block queries (4 at a time) so a stored
 // plane word is loaded once per block instead of once per query: even
 // without wider registers, the blocked layout roughly halves memory
@@ -149,13 +153,52 @@ void hamming_matrix_arena_masked_scalar(const std::uint64_t* const* queries,
   }
 }
 
+/// One 64-bit word per lane: the portable bundling reference.
+struct WordLane {
+  using V = std::uint64_t;
+  static V zero() noexcept { return 0; }
+  static V all_ones() noexcept { return ~0ULL; }
+  static V load(const std::uint64_t* p) noexcept { return *p; }
+  static V bxor(V a, V b) noexcept { return a ^ b; }
+  static V band(V a, V b) noexcept { return a & b; }
+  static V bor(V a, V b) noexcept { return a | b; }
+  static V andnot(V a, V b) noexcept { return ~a & b; }
+  static void csa(V& h, V& l, V a, V b, V c) noexcept {
+    const V u = a ^ b;
+    h = (a & b) | (u & c);
+    l = u ^ c;
+  }
+};
+
+void bundle_majority_scalar(const std::uint64_t* const* rows,
+                            const std::uint64_t* const* binds, std::size_t n,
+                            std::size_t words, const std::uint64_t* tie_break,
+                            std::uint64_t* out) {
+  bundle_majority_columns_scalar(rows, binds, n, 0, words, tie_break, out);
+}
+
 constexpr Ops kScalarOps{popcount_scalar,
                          hamming_scalar,
                          hamming_masked_scalar,
                          hamming_matrix_arena_scalar,
-                         hamming_matrix_arena_masked_scalar};
+                         hamming_matrix_arena_masked_scalar,
+                         bundle_majority_scalar};
 
 }  // namespace
+
+void bundle_majority_columns_scalar(const std::uint64_t* const* rows,
+                                    const std::uint64_t* const* binds,
+                                    std::size_t n, std::size_t begin,
+                                    std::size_t end,
+                                    const std::uint64_t* tie_break,
+                                    std::uint64_t* out) noexcept {
+  for (std::size_t w = begin; w < end; ++w) {
+    const std::uint64_t tie = tie_break != nullptr ? tie_break[w] : 0;
+    out[w] = binds != nullptr
+                 ? bundle_block<WordLane, true>(rows, binds, n, w, tie)
+                 : bundle_block<WordLane, false>(rows, binds, n, w, tie);
+  }
+}
 
 const Ops& scalar_ops() noexcept { return kScalarOps; }
 

@@ -8,6 +8,7 @@
 #include <cassert>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -195,6 +196,17 @@ std::future<Response> Server::submit_features(std::vector<float> features) {
   if (!config_.encoder) {
     throw std::logic_error(
         "serve::Server::submit_features requires ServerConfig::encoder");
+  }
+  if (features.size() != config_.encoder->feature_count()) {
+    // The encoder reads one base vector per feature: a longer vector would
+    // index past the item memory, so it never reaches a worker.
+    rejected_.fetch_add(1, std::memory_order_relaxed);
+    std::promise<Response> promise;
+    promise.set_exception(std::make_exception_ptr(std::invalid_argument(
+        "serve::Server::submit_features: expected " +
+        std::to_string(config_.encoder->feature_count()) + " features, got " +
+        std::to_string(features.size()))));
+    return promise.get_future();
   }
   Request request{hv::BinVec(), std::move(features), true,
                   std::promise<Response>(),

@@ -1,88 +1,76 @@
-// Tests for the bundling accumulators (bit-sliced and signed).
+// Tests for bundling: the carry-save majority bundle every encoder uses
+// (its per-dimension counts are bit-sliced, hence the BitSlice suite
+// names) and the signed training accumulator.
 #include "robusthd/hv/accumulator.hpp"
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <vector>
 
 #include "robusthd/util/rng.hpp"
 
 namespace robusthd::hv {
 namespace {
 
+/// Majority bundle of `inputs` through hv::bundle_majority_into.
+BinVec bundle(const std::vector<BinVec>& inputs,
+              const BinVec* tie_break = nullptr) {
+  std::vector<const std::uint64_t*> rows;
+  for (const auto& v : inputs) rows.push_back(v.words().data());
+  BinVec out;
+  bundle_majority_into(inputs.front().dimension(), rows, {}, tie_break, out);
+  return out;
+}
+
 TEST(BitSliceCounter, CountsMatchScalarReference) {
+  // The kernel's bit-sliced counts, read through the majority they decide
+  // on, match per-dimension integer counts.
   const std::size_t dim = 300;
   util::Xoshiro256 rng(1);
-  BitSliceCounter counter(dim);
+  std::vector<BinVec> inputs;
   std::vector<std::uint32_t> reference(dim, 0);
   for (int i = 0; i < 37; ++i) {
-    const auto v = BinVec::random(dim, rng);
-    counter.add(v);
-    for (std::size_t d = 0; d < dim; ++d) reference[d] += v.get(d);
+    inputs.push_back(BinVec::random(dim, rng));
+    for (std::size_t d = 0; d < dim; ++d) reference[d] += inputs.back().get(d);
   }
-  EXPECT_EQ(counter.added(), 37u);
+  const auto out = bundle(inputs);
   for (std::size_t d = 0; d < dim; ++d) {
-    ASSERT_EQ(counter.count(d), reference[d]) << "dim " << d;
+    ASSERT_EQ(out.get(d), 2 * reference[d] > 37) << "dim " << d;
   }
 }
 
 TEST(BitSliceCounter, MajorityThreshold) {
   const std::size_t dim = 64;
-  BitSliceCounter counter(dim);
   BinVec ones(dim);
   for (std::size_t d = 0; d < dim; ++d) ones.set(d, true);
-  BinVec zeros(dim);
-  counter.add(ones);
-  counter.add(ones);
-  counter.add(zeros);
-  const auto out = counter.threshold_majority();
+  const BinVec zeros(dim);
+  const auto out = bundle({ones, ones, zeros});
   EXPECT_EQ(out.count_ones(), dim);  // 2 of 3 -> majority 1
 }
 
 TEST(BitSliceCounter, TieBreakUsed) {
   const std::size_t dim = 10;
-  BitSliceCounter counter(dim);
   BinVec ones(dim);
   for (std::size_t d = 0; d < dim; ++d) ones.set(d, true);
-  counter.add(ones);
-  counter.add(BinVec(dim));  // exact tie everywhere
+  const std::vector<BinVec> tied = {ones, BinVec(dim)};  // tie everywhere
   BinVec tie(dim);
   tie.set(3, true);
-  const auto out = counter.threshold_majority(&tie);
+  const auto out = bundle(tied, &tie);
   EXPECT_EQ(out.count_ones(), 1u);
   EXPECT_TRUE(out.get(3));
+  // Without a tie-break vector every tie resolves to 0.
+  EXPECT_EQ(bundle(tied).count_ones(), 0u);
 }
 
-TEST(BitSliceCounter, ArbitraryThreshold) {
-  const std::size_t dim = 8;
-  BitSliceCounter counter(dim);
-  BinVec v(dim);
-  v.set(0, true);
-  counter.add(v);
-  counter.add(v);
-  v.set(1, true);
-  counter.add(v);
-  // counts: bit0=3, bit1=1, rest 0.
-  EXPECT_EQ(counter.threshold(0).count_ones(), 2u);
-  EXPECT_EQ(counter.threshold(1).count_ones(), 1u);
-  EXPECT_EQ(counter.threshold(2).count_ones(), 1u);
-  EXPECT_EQ(counter.threshold(3).count_ones(), 0u);
-}
-
-TEST(BitSliceCounter, ResetClears) {
-  BitSliceCounter counter(16);
+TEST(BitSliceCounter, EmptyBundleIsTieVector) {
   util::Xoshiro256 rng(2);
-  counter.add(BinVec::random(16, rng));
-  counter.reset();
-  EXPECT_EQ(counter.added(), 0u);
-  EXPECT_EQ(counter.count(3), 0u);
-}
-
-TEST(BitSliceCounter, PlaneGrowthIsLogarithmic) {
-  BitSliceCounter counter(64);
-  BinVec ones(64);
-  for (std::size_t d = 0; d < 64; ++d) ones.set(d, true);
-  for (int i = 0; i < 1000; ++i) counter.add(ones);
-  EXPECT_EQ(counter.count(0), 1000u);
-  EXPECT_LE(counter.plane_count(), 11u);  // ceil(log2(1001))
+  const auto tie = BinVec::random(130, rng);
+  BinVec out;
+  bundle_majority_into(130, {}, {}, &tie, out);
+  EXPECT_EQ(out, tie);
+  bundle_majority_into(130, {}, {}, nullptr, out);
+  EXPECT_EQ(out.count_ones(), 0u);
 }
 
 TEST(SignedAccumulator, BipolarCounting) {
@@ -152,14 +140,13 @@ TEST_P(BitSliceSizes, AgreesWithSignedAccumulatorMajority) {
   // for odd bundle sizes (no ties possible).
   const std::size_t dim = GetParam();
   util::Xoshiro256 rng(dim);
-  BitSliceCounter bits(dim);
+  std::vector<BinVec> inputs;
   SignedAccumulator sign(dim);
   for (int i = 0; i < 11; ++i) {
-    const auto v = BinVec::random(dim, rng);
-    bits.add(v);
-    sign.add(v);
+    inputs.push_back(BinVec::random(dim, rng));
+    sign.add(inputs.back());
   }
-  EXPECT_EQ(bits.threshold_majority(), sign.sign());
+  EXPECT_EQ(bundle(inputs), sign.sign());
 }
 
 INSTANTIATE_TEST_SUITE_P(Dims, BitSliceSizes,

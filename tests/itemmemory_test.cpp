@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+
+#include "robusthd/util/rng.hpp"
+
 namespace robusthd::hv {
 namespace {
 
@@ -63,6 +69,45 @@ TEST(ItemMemory, LevelIndexMapping) {
   // Clamped outside [0, 1].
   EXPECT_EQ(memory.level_index(-5.0f), 0u);
   EXPECT_EQ(memory.level_index(5.0f), 7u);
+}
+
+TEST(ItemMemory, LevelIndexIsTotal) {
+  // NaN used to pass std::clamp and wrap through lround to 2^63; every
+  // value must now land on a real level.
+  ItemMemory memory(kDim, 4, 32, 4);
+  const float inf = std::numeric_limits<float>::infinity();
+  EXPECT_EQ(memory.level_index(std::numeric_limits<float>::quiet_NaN()), 0u);
+  EXPECT_EQ(memory.level_index(-std::numeric_limits<float>::quiet_NaN()), 0u);
+  EXPECT_EQ(memory.level_index(inf), 31u);
+  EXPECT_EQ(memory.level_index(-inf), 0u);
+  EXPECT_EQ(memory.level_index(-0.0f), 0u);
+  EXPECT_EQ(memory.level_index(std::numeric_limits<float>::denorm_min()), 0u);
+}
+
+TEST(ItemMemory, QuantizeLevelKeepsFiniteMapping) {
+  // Finite inputs map exactly as clamp-then-round always has.
+  util::Xoshiro256 rng(9);
+  for (const std::size_t levels : {2, 8, 32, 100}) {
+    const auto last = static_cast<float>(levels - 1);
+    for (int i = 0; i < 20000; ++i) {
+      const auto value = static_cast<float>(rng.uniform(-0.5, 1.5));
+      const auto expected = static_cast<std::size_t>(
+          std::lround(std::clamp(value, 0.0f, 1.0f) * last));
+      ASSERT_EQ(quantize_level(value, levels), expected)
+          << "value " << value << " levels " << levels;
+    }
+    // Every rounding boundary j + 0.5 and its float neighbours.
+    for (std::size_t j = 0; j + 1 < levels; ++j) {
+      const float mid = (static_cast<float>(j) + 0.5f) / last;
+      for (const float v : {std::nextafter(mid, 0.0f), mid,
+                            std::nextafter(mid, 1.0f)}) {
+        ASSERT_EQ(quantize_level(v, levels),
+                  static_cast<std::size_t>(
+                      std::lround(std::clamp(v, 0.0f, 1.0f) * last)))
+            << "value " << v << " levels " << levels;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -3,9 +3,10 @@
 // Every available ISA tier (scalar / AVX2 / AVX-512) is checked bit-for-bit
 // against a naive per-word reference on awkward dimensions (sub-word,
 // exactly one word, word+1, and the paper-scale 10k), on adversarial word
-// patterns (all-zeros, all-ones), and at the odd query/plane counts and
+// patterns (all-zeros, all-ones), at the odd query/plane counts and
 // tile widths that exercise the block tails of the arena distance-matrix
-// kernels. The
+// kernels, and at the bundle sizes and word counts that exercise the
+// carry-save blocks and lane remainders of the bundling kernel. The
 // higher layers that were rewired onto the kernels (BinVec rotation and
 // ranged Hamming, batch scoring, zero-allocation encoding, the crossbar
 // cost cross-check) are then held to the same standard: bit-identical to
@@ -339,54 +340,168 @@ TEST(BinVecKernels, RotatedRoundTrips) {
   }
 }
 
-// ---- bit-sliced counter: fused bind+add and word-parallel threshold -----
+// ---- carry-save bundling ------------------------------------------------
+
+/// Naive per-dimension majority: bit b of word w counts every input
+/// (rows[k] XOR binds[k]) one bit at a time; ties take the tie bit.
+std::vector<std::uint64_t> ref_bundle_majority(
+    const std::vector<std::vector<std::uint64_t>>& rows,
+    const std::vector<std::vector<std::uint64_t>>* binds, std::size_t words,
+    const std::uint64_t* tie_break) {
+  const std::size_t n = rows.size();
+  std::vector<std::uint64_t> out(words, 0);
+  for (std::size_t w = 0; w < words; ++w) {
+    for (unsigned b = 0; b < 64; ++b) {
+      std::size_t count = 0;
+      for (std::size_t k = 0; k < n; ++k) {
+        std::uint64_t x = rows[k][w];
+        if (binds != nullptr) x ^= (*binds)[k][w];
+        count += (x >> b) & 1U;
+      }
+      bool bit = 2 * count > n;
+      if (2 * count == n && tie_break != nullptr) {
+        bit = ((tie_break[w] >> b) & 1U) != 0;
+      }
+      if (bit) out[w] |= 1ULL << b;
+    }
+  }
+  return out;
+}
+
+std::vector<const std::uint64_t*> word_ptrs(
+    const std::vector<std::vector<std::uint64_t>>& rows) {
+  std::vector<const std::uint64_t*> ptrs;
+  for (const auto& r : rows) ptrs.push_back(r.data());
+  return ptrs;
+}
+
+/// Runs bundle_majority on every ISA the host supports, with and without a
+/// tie-break vector, against the naive reference. Every row is its own
+/// exactly-sized allocation, so a load past a row's last word is caught
+/// under ASan.
+void expect_bundle_all_isas(
+    const std::vector<std::vector<std::uint64_t>>& rows,
+    const std::vector<std::vector<std::uint64_t>>* binds, std::size_t words,
+    const std::vector<std::uint64_t>& tie, const char* what) {
+  const auto row_ptrs = word_ptrs(rows);
+  std::vector<const std::uint64_t*> bind_ptrs;
+  if (binds != nullptr) bind_ptrs = word_ptrs(*binds);
+  const std::uint64_t* const no_tie = nullptr;
+  for (const std::uint64_t* tie_break : {tie.data(), no_tie}) {
+    const auto expected = ref_bundle_majority(rows, binds, words, tie_break);
+    for (const auto isa : kAllIsas) {
+      const auto* ops = kernels::ops_for(isa);
+      if (ops == nullptr) continue;
+      std::vector<std::uint64_t> out(words, 0xdeadbeefdeadbeefULL);
+      ops->bundle_majority(row_ptrs.data(),
+                           binds != nullptr ? bind_ptrs.data() : nullptr,
+                           rows.size(), words, tie_break, out.data());
+      ASSERT_EQ(out, expected)
+          << kernels::isa_name(isa) << " " << what << " n=" << rows.size()
+          << " words=" << words << " binds=" << (binds != nullptr)
+          << " tie=" << (tie_break != nullptr);
+    }
+  }
+}
+
+TEST(KernelEquivalence, BundleMajorityAllIsas) {
+  util::Xoshiro256 rng(0xb0d1e);
+  // Bundle sizes around the 16-input carry-save block and the serving
+  // shapes; word counts of dims 1..10000 hit every remainder lane of the
+  // 4- and 8-word blocks.
+  const std::vector<std::size_t> bundle_sizes = {0,  1,  2,  3,  15, 16, 17,
+                                                 31, 32, 33, 75, 617, 1100};
+  const std::vector<std::size_t> dims = {1,   63,  64,   65,
+                                         511, 513, 4000, 10000};
+  for (const std::size_t dim : dims) {
+    const std::size_t words = util::words_for_bits(dim);
+    const auto tie = random_words(words, rng);
+    for (const std::size_t n : bundle_sizes) {
+      std::vector<std::vector<std::uint64_t>> rows, binds;
+      for (std::size_t k = 0; k < n; ++k) {
+        rows.push_back(random_words(words, rng));
+        binds.push_back(random_words(words, rng));
+      }
+      expect_bundle_all_isas(rows, nullptr, words, tie, "random");
+      expect_bundle_all_isas(rows, &binds, words, tie, "random");
+    }
+  }
+}
+
+TEST(KernelEquivalence, BundleMajorityExactCounts) {
+  // Random rows keep counts near n/2; constant rows pin every dimension's
+  // count to exactly c, reaching the top planes (c == n) and the cut
+  // boundary (c == n/2, n/2 + 1) that random data rarely hits.
+  util::Xoshiro256 rng(0xc0de);
+  const std::size_t words = util::words_for_bits(1000);
+  const auto tie = random_words(words, rng);
+  for (const std::size_t n : {1, 2, 16, 17, 32, 75, 1100}) {
+    for (const std::size_t c : {std::size_t{0}, n / 2, n / 2 + 1, n}) {
+      std::vector<std::vector<std::uint64_t>> rows, binds;
+      for (std::size_t k = 0; k < n; ++k) {
+        const std::uint64_t value = k < c ? ~0ULL : 0ULL;
+        binds.push_back(random_words(words, rng));
+        rows.emplace_back(words, value);
+      }
+      expect_bundle_all_isas(rows, nullptr, words, tie, "constant");
+      // Bound form: row = bind XOR value, so every XOR is `value` again.
+      for (std::size_t k = 0; k < n; ++k) {
+        for (std::size_t w = 0; w < words; ++w) rows[k][w] ^= binds[k][w];
+      }
+      expect_bundle_all_isas(rows, &binds, words, tie, "constant-bound");
+    }
+  }
+}
 
 TEST(BitSliceKernels, AddBoundEqualsAddOfBind) {
+  // Bundling rows with binds equals bundling the materialised bindings.
   util::Xoshiro256 rng(0xb17e);
   const std::size_t dim = 777;
-  hv::BitSliceCounter fused(dim), plain(dim);
-  for (int k = 0; k < 9; ++k) {
-    const auto a = hv::BinVec::random(dim, rng);
-    const auto b = hv::BinVec::random(dim, rng);
-    fused.add_bound(a, b);
-    plain.add(hv::bind(a, b));
-  }
-  for (std::size_t i = 0; i < dim; ++i) {
-    ASSERT_EQ(fused.count(i), plain.count(i)) << "dim " << i;
+  const auto tie_break = hv::BinVec::random(dim, rng);
+  for (const std::size_t n : {9, 10}) {
+    std::vector<hv::BinVec> a, b, bound;
+    std::vector<const std::uint64_t*> aw, bw, boundw;
+    for (std::size_t k = 0; k < n; ++k) {
+      a.push_back(hv::BinVec::random(dim, rng));
+      b.push_back(hv::BinVec::random(dim, rng));
+      bound.push_back(hv::bind(a.back(), b.back()));
+    }
+    for (std::size_t k = 0; k < n; ++k) {
+      aw.push_back(a[k].words().data());
+      bw.push_back(b[k].words().data());
+      boundw.push_back(bound[k].words().data());
+    }
+    hv::BinVec fused, plain;
+    hv::bundle_majority_into(dim, aw, bw, &tie_break, fused);
+    hv::bundle_majority_into(dim, boundw, {}, &tie_break, plain);
+    EXPECT_EQ(fused, plain) << "n=" << n;
   }
 }
 
 TEST(BitSliceKernels, ThresholdIntoMatchesThresholdMajority) {
+  // bundle_majority_into into a reused output (stale contents, wrong
+  // dimension) equals a fresh output, for odd and even bundles.
   util::Xoshiro256 rng(0x7e57);
   const std::size_t dim = 300;
   const auto tie_break = hv::BinVec::random(dim, rng);
-  for (const int adds : {1, 2, 5, 6, 31, 32}) {  // odd and even bundles
-    hv::BitSliceCounter counter(dim);
-    for (int k = 0; k < adds; ++k) counter.add(hv::BinVec::random(dim, rng));
-    const auto expected = counter.threshold_majority(&tie_break);
-    hv::BinVec out;
-    counter.threshold_majority_into(out, &tie_break);
-    EXPECT_EQ(out.dimension(), dim);
-    EXPECT_EQ(hv::hamming(expected, out), 0u) << "adds=" << adds;
-    // And without a tie-breaker (ties resolve to 0).
-    const auto expected_plain = counter.threshold_majority(nullptr);
-    counter.threshold_majority_into(out, nullptr);
-    EXPECT_EQ(hv::hamming(expected_plain, out), 0u) << "adds=" << adds;
+  hv::BinVec reused = hv::BinVec::random(dim, rng);
+  for (const int adds : {1, 2, 5, 6, 31, 32}) {
+    std::vector<hv::BinVec> inputs;
+    std::vector<const std::uint64_t*> rows;
+    for (int k = 0; k < adds; ++k) {
+      inputs.push_back(hv::BinVec::random(dim, rng));
+    }
+    for (const auto& v : inputs) rows.push_back(v.words().data());
+    const hv::BinVec* const no_tie = nullptr;
+    for (const hv::BinVec* tie : {&tie_break, no_tie}) {
+      hv::BinVec fresh;
+      hv::bundle_majority_into(dim, rows, {}, tie, fresh);
+      hv::bundle_majority_into(dim, rows, {}, tie, reused);
+      EXPECT_EQ(fresh.dimension(), dim);
+      EXPECT_EQ(fresh, reused) << "adds=" << adds;
+    }
+    reused = hv::BinVec(dim + 64);  // next round re-targets the dimension
   }
-}
-
-TEST(BitSliceKernels, ResetAndResizeReuseStorage) {
-  util::Xoshiro256 rng(0x2e5e);
-  const std::size_t dim = 500;
-  hv::BitSliceCounter counter(dim);
-  for (int k = 0; k < 7; ++k) counter.add(hv::BinVec::random(dim, rng));
-  const std::size_t planes = counter.plane_count();
-  counter.reset();
-  EXPECT_EQ(counter.added(), 0u);
-  EXPECT_EQ(counter.plane_count(), planes);  // storage kept
-  for (std::size_t i = 0; i < dim; ++i) ASSERT_EQ(counter.count(i), 0u);
-  counter.resize(dim);  // same word width: still no reallocation
-  EXPECT_EQ(counter.plane_count(), planes);
 }
 
 // ---- zero-allocation encode --------------------------------------------

@@ -159,26 +159,6 @@ TEST(PlaneArenaTest, StoreLoadRoundTrip) {
   }
 }
 
-TEST(PlaneArenaTest, StoreWordsUpdatesOnlyRange) {
-  util::Xoshiro256 rng(3);
-  std::vector<hv::BinVec> sources;
-  auto arena = make_arena(3, 10000, rng, sources);
-  auto mutated = sources[1];
-  for (std::size_t w = 40; w < 60; ++w) {
-    mutated.mutable_words()[w] = ~sources[1].words()[w];
-  }
-  // Republish a range that covers the mutation but not the whole plane.
-  arena.store_words(1, 40, 60, mutated.words().data());
-  hv::BinVec out;
-  arena.load_plane(1, out);
-  EXPECT_EQ(out, mutated);
-  // Neighbouring planes untouched.
-  arena.load_plane(0, out);
-  EXPECT_EQ(out, sources[0]);
-  arena.load_plane(2, out);
-  EXPECT_EQ(out, sources[2]);
-}
-
 // ---- kernel equivalence ------------------------------------------------
 
 /// Per-bit reference: popcount((q XOR plane) AND mask) over the first

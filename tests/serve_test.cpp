@@ -13,9 +13,12 @@
 #include <cstdio>
 #include <fstream>
 #include <future>
+#include <limits>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "robusthd/core/serialize.hpp"
@@ -290,6 +293,85 @@ TEST(Server, SubmitFeaturesWithoutEncoderThrows) {
   config.enable_recovery = false;
   Server server(world.model, config);
   EXPECT_THROW((void)server.submit_features({0.5f, 0.5f}), std::logic_error);
+}
+
+/// A 3-class model over a small server-side encoder, for the
+/// submit_features input-validation tests.
+struct FeatureWorld {
+  std::shared_ptr<const hv::RecordEncoder> encoder;
+  model::HdcModel model;
+  std::vector<float> valid;
+};
+
+FeatureWorld make_feature_world() {
+  const std::size_t features = 6;
+  hv::EncoderConfig enc_config;
+  enc_config.dimension = 1000;
+  auto encoder = std::make_shared<hv::RecordEncoder>(features, enc_config);
+  util::Xoshiro256 rng(31);
+  std::vector<hv::BinVec> encoded;
+  std::vector<int> labels;
+  for (int i = 0; i < 30; ++i) {
+    std::vector<float> s(features);
+    for (auto& f : s) f = static_cast<float>(rng.uniform());
+    encoded.push_back(encoder->encode(s));
+    labels.push_back(i % 3);
+  }
+  auto model = model::HdcModel::train(encoded, labels, 3, {});
+  return {encoder, std::move(model), std::vector<float>(features, 0.25f)};
+}
+
+TEST(Server, SubmitFeaturesRejectsWrongLength) {
+  auto world = make_feature_world();
+  const auto reference = world.model;
+  ServerConfig config;
+  config.worker_threads = 2;
+  config.enable_recovery = false;
+  config.encoder = world.encoder;
+  Server server(std::move(world.model), config);
+  const auto expected = reference.predict(world.encoder->encode(world.valid));
+
+  const std::size_t n = world.valid.size();
+  for (const std::size_t length : {n + 1, n - 1, std::size_t{0}, 10 * n}) {
+    auto future = server.submit_features(std::vector<float>(length, 0.5f));
+    EXPECT_THROW((void)future.get(), std::invalid_argument)
+        << "length " << length;
+    // The server keeps answering valid requests.
+    EXPECT_EQ(server.submit_features(world.valid).get().predicted, expected);
+  }
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.rejected, 4u);
+  EXPECT_EQ(stats.submitted, 4u);
+  EXPECT_EQ(stats.completed, 4u);
+}
+
+TEST(Server, SubmitFeaturesEncodesNonFiniteValues) {
+  // NaN quantises to level 0 and ±inf clamp to the end levels, so each
+  // request is answered exactly like its clamped twin.
+  auto world = make_feature_world();
+  const auto reference = world.model;
+  ServerConfig config;
+  config.worker_threads = 2;
+  config.enable_recovery = false;
+  config.encoder = world.encoder;
+  Server server(std::move(world.model), config);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const auto& [value, twin] : {std::pair{nan, 0.0f}, std::pair{inf, 1.0f},
+                                    std::pair{-inf, 0.0f}}) {
+    auto x = world.valid;
+    auto clamped = world.valid;
+    x[2] = value;
+    clamped[2] = twin;
+    EXPECT_EQ(world.encoder->encode(x), world.encoder->encode(clamped));
+    EXPECT_EQ(server.submit_features(x).get().predicted,
+              reference.predict(world.encoder->encode(clamped)))
+        << "value " << value;
+    // The server keeps answering valid requests.
+    EXPECT_EQ(server.submit_features(world.valid).get().predicted,
+              reference.predict(world.encoder->encode(world.valid)));
+  }
+  EXPECT_EQ(server.stats().rejected, 0u);
 }
 
 TEST(Server, ShutdownDrainsQueue) {
